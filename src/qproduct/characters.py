@@ -190,7 +190,10 @@ def _pair_weights(modulus: int, count: int) -> np.ndarray:
     return w
 
 
-def _character_sum(spec: ProductSpec, query: ProgressionQuery) -> tuple[int, int]:
+def character_sum_with_precision(
+    spec: ProductSpec, query: ProgressionQuery
+) -> tuple[int, int]:
+    """Same as character_sum_main00, also reporting the precision bits used."""
     s, n = spec.s, spec.n
     modulus, j = query.modulus, query.residue
     if modulus == 1:
@@ -232,14 +235,7 @@ def character_sum_main00(spec: ProductSpec, query: ProgressionQuery) -> int:
     Evaluates (1/N) * sum_{r != 0} psi_r^{-1}(j) * prod_a (1 - psi_r(a))^s
     with certified rounding; equals progression_sum_oracle on all inputs.
     """
-    return _character_sum(spec, query)[0]
-
-
-def character_sum_with_precision(
-    spec: ProductSpec, query: ProgressionQuery
-) -> tuple[int, int]:
-    """Same as character_sum_main00, also reporting the precision bits used."""
-    return _character_sum(spec, query)
+    return character_sum_with_precision(spec, query)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +251,10 @@ def _sin_products_f64(s: int, n: int, modulus: int) -> np.ndarray:
         return sines.prod(axis=0) ** s
 
 
-def _trig_sum(spec: ProductSpec, query: ProgressionQuery) -> tuple[int, int]:
+def trig_form_with_precision(
+    spec: ProductSpec, query: ProgressionQuery
+) -> tuple[int, int]:
+    """Same as trig_form_main0000, also reporting the precision bits used."""
     s, n = spec.s, spec.n
     modulus, j = query.modulus, query.residue
     if modulus == 1:
@@ -308,14 +307,7 @@ def trig_form_main0000(spec: ProductSpec, query: ProgressionQuery) -> int:
     Uses the sine branch when s*n is odd and the cosine branch otherwise;
     certified-rounded, and equal to character_sum_main00 everywhere.
     """
-    return _trig_sum(spec, query)[0]
-
-
-def trig_form_with_precision(
-    spec: ProductSpec, query: ProgressionQuery
-) -> tuple[int, int]:
-    """Same as trig_form_main0000, also reporting the precision bits used."""
-    return _trig_sum(spec, query)
+    return trig_form_with_precision(spec, query)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,22 +16,6 @@ import sys
 from . import asymptotics, characters, partitions, poly
 from .errors import ResourceLimitError
 
-VERIFY_LABELS = (
-    "main00",
-    "main0000",
-    "main000",
-    "main0",
-    "main1",
-    "main00cor",
-    "div1",
-    "peak1",
-    "tau",
-    "maxpeak",
-    "pentagonal",
-    "jacobi",
-    "hecke-rogers",
-)
-
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -181,219 +165,178 @@ def _cmd_maxfit(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
+# verification table
 #
-# Each verifier returns a report dict naming the label it checks; exit code 1
-# when any enabled check fails.
+# Each label maps to a generator of (case fields, expected, got) triples over
+# the requested bounds, and to the two keys under which a failure record shows
+# expected and got (None leaves that value out).  A case fails when got !=
+# expected; exit code 1 when any enabled check fails.
 
 
-def _iter_grid(smax, nmax):
+def _specs(smax, nmax):
     for s in range(1, smax + 1):
         for n in range(1, nmax + 1):
             yield poly.ProductSpec(s, n)
 
 
-def _verify_progression_formula(label, evaluate, smax, nmax):
-    failures = []
-    cases = 0
-    for spec in _iter_grid(smax, nmax):
-        p = poly.expansion(spec)
-        for modulus in range(1, spec.degree + 2):
-            row = poly.cyclic_reduce(p, modulus).coeffs
-            for j in range(modulus):
-                cases += 1
+def _progression_sums(spec):
+    """Every (N, j, exact progression sum) of spec for 1 <= N <= degree+1."""
+    p = poly.expansion(spec)
+    for modulus in range(1, spec.degree + 2):
+        row = poly.cyclic_reduce(p, modulus).coeffs
+        for j in range(modulus):
+            yield modulus, j, row[j]
+
+
+def _formula_cases(evaluate):
+    def cases(args):
+        for spec in _specs(args.smax, args.nmax):
+            for modulus, j, exact in _progression_sums(spec):
                 got = evaluate(spec, poly.ProgressionQuery(modulus, j))
-                if got != row[j]:
-                    failures.append(
-                        {"s": spec.s, "n": spec.n, "N": modulus, "j": j,
-                         "expected": str(row[j]), "got": str(got)}
-                    )
-    return cases, failures
+                yield {"s": spec.s, "n": spec.n, "N": modulus, "j": j}, exact, got
+    return cases
 
 
-def _verify_main00(args):
-    cases, failures = _verify_progression_formula(
-        "main00", characters.character_sum_main00, args.smax, args.nmax
-    )
-    return cases, failures
-
-
-def _verify_main0000(args):
-    cases, failures = _verify_progression_formula(
-        "main0000", characters.trig_form_main0000, args.smax, args.nmax
-    )
-    return cases, failures
-
-
-def _verify_main000(args):
-    cases = 0
-    failures = []
-    for spec in _iter_grid(args.smax, args.nmax):
+def _vanishing_cases(args):
+    for spec in _specs(args.smax, args.nmax):
         if (spec.s * spec.n) % 2 == 0:
             continue
-        p = poly.expansion(spec)
-        for modulus in range(1, spec.degree + 2):
-            row = poly.cyclic_reduce(p, modulus).coeffs
-            for j in range(modulus):
-                if (2 * j - spec.degree) % modulus:
-                    continue
-                cases += 1
-                if row[j] != 0:
-                    failures.append({"s": spec.s, "n": spec.n, "N": modulus, "j": j,
-                                     "got": str(row[j])})
-    return cases, failures
+        for modulus, j, exact in _progression_sums(spec):
+            if (2 * j - spec.degree) % modulus == 0:
+                yield {"s": spec.s, "n": spec.n, "N": modulus, "j": j}, 0, exact
 
 
-def _verify_main0(args):
-    cases = 0
-    failures = []
-    for spec in _iter_grid(args.smax, min(args.nmax, 8)):
+def _main0_cases(args):
+    for spec in _specs(args.smax, min(args.nmax, 8)):
         p = poly.expansion(spec)
         for j in range(spec.degree + 1):
-            cases += 1
             got = characters.single_coefficient_main0(spec, j)
-            if got != p[j]:
-                failures.append({"s": spec.s, "n": spec.n, "j": j,
-                                 "expected": str(p[j]), "got": str(got)})
-    return cases, failures
+            yield {"s": spec.s, "n": spec.n, "j": j}, p[j], got
 
 
-def _verify_main1(args):
-    cases = 0
-    failures = []
-    for spec in _iter_grid(args.smax, args.nmax):
+def _main1_cases(args):
+    for spec in _specs(args.smax, args.nmax):
         row = poly.cyclic_reduce(poly.expansion(spec), spec.n + 1).coeffs
         for j in range(spec.n + 1):
-            cases += 1
             got = characters.closed_form_main1(spec, j)
-            if got != row[j]:
-                failures.append({"s": spec.s, "n": spec.n, "j": j,
-                                 "expected": str(row[j]), "got": str(got)})
-    return cases, failures
+            yield {"s": spec.s, "n": spec.n, "j": j}, row[j], got
 
 
-def _verify_main00cor(args):
-    cases = 0
-    failures = []
-    for spec in _iter_grid(args.smax, args.nmax):
+def _small_modulus_cases(args):
+    for spec in _specs(args.smax, args.nmax):
         for modulus in range(1, spec.n):
-            cases += 1
-            if not characters.small_modulus_vanishing(spec, modulus):
-                failures.append({"s": spec.s, "n": spec.n, "N": modulus})
-    return cases, failures
+            got = characters.small_modulus_vanishing(spec, modulus)
+            yield {"s": spec.s, "n": spec.n, "N": modulus}, True, got
 
 
-def _verify_div1(args):
-    cases = 0
-    failures = []
-    for spec in _iter_grid(args.smax, args.nmax):
-        if spec.s % 2 == 0 or spec.n % 2 == 0:
-            continue
-        cases += 1
-        try:
-            pair = characters.divisor_coefficients_div1(spec, spec.degree)
-        except ArithmeticError as exc:
-            failures.append({"s": spec.s, "n": spec.n, "error": str(exc)})
-            continue
-        if pair != (-1, 1):
-            failures.append({"s": spec.s, "n": spec.n, "pair": list(pair)})
-    return cases, failures
+def _raising_cases(admits, check):
+    """One case per admitted spec; got is the ArithmeticError text, if any."""
+    def cases(args):
+        for spec in _specs(args.smax, args.nmax):
+            if not admits(spec):
+                continue
+            try:
+                check(spec)
+                error = None
+            except ArithmeticError as exc:
+                error = str(exc)
+            yield {"s": spec.s, "n": spec.n}, None, error
+    return cases
 
 
-def _verify_peak1(args):
-    cases = 0
-    failures = []
-    for spec in _iter_grid(args.smax, args.nmax):
-        if spec.n % 4 != 3 or spec.s % 2 == 0:
-            continue
-        cases += 1
-        try:
-            if characters.midpoint_zero_peak1(spec) != 0:
-                failures.append({"s": spec.s, "n": spec.n})
-        except ArithmeticError as exc:
-            failures.append({"s": spec.s, "n": spec.n, "error": str(exc)})
-    return cases, failures
-
-
-def _verify_tau(args):
-    cases = 0
-    failures = []
+def _tau_cases(args):
     for n in range(1, min(args.nmax, 6) + 1):
         row = poly.cyclic_reduce(partitions.truncated_tau(n), n + 1).coeffs
         for j in range(n + 1):
-            cases += 1
-            got = characters.tau_progression(n, j)
-            if got != row[j]:
-                failures.append({"n": n, "j": j, "expected": str(row[j]),
-                                 "got": str(got)})
-    return cases, failures
+            yield {"n": n, "j": j}, row[j], characters.tau_progression(n, j)
 
 
-def _verify_maxpeak(args):
-    failures = []
-    result = asymptotics.sudler_constant()
-    cases = 1
-    if abs(result.value - asymptotics.K_REFERENCE) > 5e-5:
-        failures.append({"check": "K", "value": result.value})
-    for spec in _iter_grid(min(args.smax, 2), min(args.nmax, 8)):
-        cases += 1
-        if not asymptotics.sandwich_inequality_check(spec):
-            failures.append({"check": "sandwich", "s": spec.s, "n": spec.n})
-    return cases, failures
+def _maxpeak_cases(args):
+    k = asymptotics.sudler_constant().value
+    off = abs(k - asymptotics.K_REFERENCE) > 5e-5
+    yield {"check": "K", "value": k}, False, off
+    for spec in _specs(min(args.smax, 2), min(args.nmax, 8)):
+        got = asymptotics.sandwich_inequality_check(spec)
+        yield {"check": "sandwich", "s": spec.s, "n": spec.n}, True, got
 
 
-def _verify_series_prefix(name, args):
-    limit = args.max if args.max is not None else args.nmax
-    n = max(limit, 1)
-    if name == "pentagonal":
-        s, terms = 1, partitions.pentagonal_series(limit)
-    elif name == "jacobi":
-        s, terms = 3, partitions.jacobi_series(limit, args.convention)
-    else:
-        s, terms = 2, partitions.hecke_rogers_series(limit)
-    dense = partitions.series_to_coeffs(terms, limit)
-    product = poly.expansion(poly.ProductSpec(s, n))
-    failures = []
-    for e in range(limit + 1):
-        if product[e] != dense[e]:
-            failures.append({"exponent": e, "product": str(product[e]),
-                             "series": str(dense[e])})
-    return limit + 1, failures
+def _series_cases(s, series):
+    """Prefix of series(limit, args) against the expansion of the s-th power."""
+    def cases(args):
+        limit = args.max if args.max is not None else args.nmax
+        dense = partitions.series_to_coeffs(series(limit, args), limit)
+        product = poly.expansion(poly.ProductSpec(s, max(limit, 1)))
+        for e in range(limit + 1):
+            yield {"exponent": e}, product[e], dense[e]
+    return cases
 
 
-_VERIFIERS = {
-    "main00": _verify_main00,
-    "main0000": _verify_main0000,
-    "main000": _verify_main000,
-    "main0": _verify_main0,
-    "main1": _verify_main1,
-    "main00cor": _verify_main00cor,
-    "div1": _verify_div1,
-    "peak1": _verify_peak1,
-    "tau": _verify_tau,
-    "maxpeak": _verify_maxpeak,
-    "pentagonal": lambda args: _verify_series_prefix("pentagonal", args),
-    "jacobi": lambda args: _verify_series_prefix("jacobi", args),
-    "hecke-rogers": lambda args: _verify_series_prefix("hecke-rogers", args),
+_VALUES = ("expected", "got")
+_PREFIXES = ("product", "series")
+
+_CHECKS = {
+    "main00": (_formula_cases(characters.character_sum_main00), _VALUES),
+    "main0000": (_formula_cases(characters.trig_form_main0000), _VALUES),
+    "main000": (_vanishing_cases, (None, "got")),
+    "main0": (_main0_cases, _VALUES),
+    "main1": (_main1_cases, _VALUES),
+    "main00cor": (_small_modulus_cases, (None, None)),
+    "div1": (
+        _raising_cases(
+            lambda spec: spec.s % 2 and spec.n % 2,
+            lambda spec: characters.divisor_coefficients_div1(spec, spec.degree),
+        ),
+        (None, "error"),
+    ),
+    "peak1": (
+        _raising_cases(
+            lambda spec: spec.n % 4 == 3 and spec.s % 2,
+            characters.midpoint_zero_peak1,
+        ),
+        (None, "error"),
+    ),
+    "tau": (_tau_cases, _VALUES),
+    "maxpeak": (_maxpeak_cases, (None, None)),
+    "pentagonal": (
+        _series_cases(1, lambda limit, args: partitions.pentagonal_series(limit)),
+        _PREFIXES,
+    ),
+    "jacobi": (
+        _series_cases(3, lambda limit, args: partitions.jacobi_series(limit, args.convention)),
+        _PREFIXES,
+    ),
+    "hecke-rogers": (
+        _series_cases(2, lambda limit, args: partitions.hecke_rogers_series(limit)),
+        _PREFIXES,
+    ),
 }
+
+VERIFY_LABELS = tuple(_CHECKS)
+
+
+def _run_check(label, args) -> dict:
+    cases_of, keys = _CHECKS[label]
+    cases = 0
+    failures = []
+    for fields, expected, got in cases_of(args):
+        cases += 1
+        if got != expected:
+            shown = {key: str(v) for key, v in zip(keys, (expected, got)) if key}
+            failures.append({**fields, **shown})
+    return {
+        "label": label,
+        "cases": cases,
+        "failures": failures[:10],
+        "failure_count": len(failures),
+        "passed": not failures,
+    }
 
 
 def _cmd_verify(args) -> int:
     if not args.all and args.theorem is None:
         raise ValueError("verify needs --theorem LABEL or --all")
-    labels = list(VERIFY_LABELS) if args.all else [args.theorem]
-    checks = []
-    for label in labels:
-        cases, failures = _VERIFIERS[label](args)
-        checks.append(
-            {
-                "label": label,
-                "cases": cases,
-                "failures": failures[:10],
-                "failure_count": len(failures),
-                "passed": not failures,
-            }
-        )
+    labels = VERIFY_LABELS if args.all else [args.theorem]
+    checks = [_run_check(label, args) for label in labels]
     passed = all(c["passed"] for c in checks)
     payload = {
         "command": "verify",

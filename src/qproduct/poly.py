@@ -38,6 +38,12 @@ def coefficient_cap() -> int:
     return cap
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass; a float would make the degree a float.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProductSpec:
     """The pair (s, n) describing prod_{a=1..n} (1 - q^a)^s."""
@@ -46,6 +52,8 @@ class ProductSpec:
     n: int
 
     def __post_init__(self):
+        _require_int("multiplicity s", self.s)
+        _require_int("largest part n", self.n)
         if self.s < 1:
             raise ValueError(f"multiplicity s must be >= 1, got {self.s}")
         if self.n < 1:
@@ -65,6 +73,8 @@ class ProgressionQuery:
     residue: int
 
     def __post_init__(self):
+        _require_int("modulus", self.modulus)
+        _require_int("residue", self.residue)
         if self.modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         if not 0 <= self.residue < self.modulus:
@@ -147,7 +157,13 @@ class IntPolynomial:
         pairs = [(int(e), int(c)) for e, c in (row.split(",") for row in rows)]
         size = max((e for e, _ in pairs), default=0) + 1
         coeffs = [0] * size
+        seen = set()
         for e, c in pairs:
+            if e < 0:
+                raise ValueError(f"negative exponent {e} in CSV")
+            if e in seen:
+                raise ValueError(f"exponent {e} appears twice in CSV")
+            seen.add(e)
             coeffs[e] = c
         return cls(coeffs)
 
@@ -168,24 +184,9 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 @lru_cache(maxsize=256)
 def binomial_power(s: int) -> tuple[int, ...]:
-    """Coefficients of (1 - x)^s.
-
-    Built by repeated squaring of [1, -1] for small s; for large s the row
-    comes straight from math.comb (identical values, linear cost).
-    """
+    """Coefficients of (1 - x)^s, straight from math.comb."""
     if s < 0:
         raise ValueError("exponent must be non-negative")
-    if s <= 64:
-        result = [1]
-        base = [1, -1]
-        e = s
-        while e:
-            if e & 1:
-                result = poly_mul(result, base)
-            e >>= 1
-            if e:
-                base = poly_mul(base, base)
-        return tuple(result)
     return tuple((-1) ** k * math.comb(s, k) for k in range(s + 1))
 
 
@@ -223,16 +224,7 @@ def expand_restricted_product(
     ResourceLimitError when the final vector would exceed the coefficient cap.
     """
     limit = cap if cap is not None else coefficient_cap()
-    size = spec.degree + 1
-    if size > limit:
-        raise ResourceLimitError(
-            f"expansion needs {size} coefficients, cap is {limit}"
-        )
-    arr = np.zeros(1, dtype=object)
-    arr[0] = 1
-    for a in range(1, spec.n + 1):
-        arr = _apply_binomial_factor(arr, a, spec.s)
-    return IntPolynomial(arr.tolist())
+    return next(_expansion_pass(spec.s, [spec.n], limit))[1]
 
 
 def iter_expansions(s: int, n_values: Sequence[int]) -> Iterator[tuple[int, IntPolynomial]]:
@@ -241,14 +233,17 @@ def iter_expansions(s: int, n_values: Sequence[int]) -> Iterator[tuple[int, IntP
     One incremental pass; snapshots are taken at the requested n values in
     increasing order.  The largest snapshot is cap-checked up front.
     """
+    yield from _expansion_pass(s, n_values, coefficient_cap())
+
+
+def _expansion_pass(s, n_values, limit):
+    # The one expansion loop behind expand_restricted_product and iter_expansions.
     targets = sorted(set(n_values))
     if not targets or targets[0] < 1:
         raise ValueError("n values must be positive")
-    top = ProductSpec(s, targets[-1])
-    if top.degree + 1 > coefficient_cap():
-        raise ResourceLimitError(
-            f"expansion needs {top.degree + 1} coefficients, cap is {coefficient_cap()}"
-        )
+    size = ProductSpec(s, targets[-1]).degree + 1
+    if size > limit:
+        raise ResourceLimitError(f"expansion needs {size} coefficients, cap is {limit}")
     wanted = set(targets)
     arr = np.zeros(1, dtype=object)
     arr[0] = 1

@@ -1,8 +1,15 @@
 """Command-line interface: dispatch, formats, exit codes, byte stability."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from qproduct.cli import main
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "cli_golden.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -87,6 +94,10 @@ def test_verify_jacobi_conventions(capsys):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["checks"][0]["failures"][0]["exponent"] == 0
+    assert payload["checks"][0]["failures"] == [
+        {"exponent": 0, "product": "1", "series": "-2"}
+    ]
+    assert payload["checks"][0]["failure_count"] == 1
     code, _, _ = run(
         capsys, "verify", "--theorem", "jacobi", "--convention", "standard", "--max", "12"
     )
@@ -102,7 +113,17 @@ def test_verify_all(capsys):
         "main00", "main0000", "main000", "main0", "main1", "main00cor",
         "div1", "peak1", "tau", "maxpeak", "pentagonal", "jacobi", "hecke-rogers",
     ]
+    assert [c["cases"] for c in payload["checks"]] == [
+        107, 107, 11, 24, 14, 6, 2, 1, 14, 5, 5, 5, 5,
+    ]
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"]))
+def test_golden_reports(capsys, entry):
+    # Reports recorded by perfbench/record_golden.py; every byte is pinned.
+    code, out, _ = run(capsys, *entry["argv"])
+    assert (code, out) == (entry["exit"], entry["stdout"])
 
 
 def test_series_csv(capsys):

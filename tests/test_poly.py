@@ -168,6 +168,28 @@ def test_spec_and_query_validation():
         ProgressionQuery(5, -1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ProductSpec(2.5, 3),
+        lambda: ProductSpec(2, 3.0),
+        lambda: ProductSpec(True, 3),
+        lambda: ProgressionQuery(True, 0),
+        lambda: ProgressionQuery(4, False),
+    ],
+)
+def test_spec_and_query_reject_non_int(make):
+    with pytest.raises(ValueError, match="must be an int"):
+        make()
+
+
+def test_csv_rejects_negative_and_repeated_exponents():
+    with pytest.raises(ValueError, match="negative exponent"):
+        IntPolynomial.from_csv("0,1\n-1,5\n")
+    with pytest.raises(ValueError, match="twice"):
+        IntPolynomial.from_csv("exponent,coefficient\n0,1\n1,2\n1,3\n")
+
+
 def test_polynomial_degree_and_zero():
     assert IntPolynomial([0, 0, 0]).degree == -1
     assert IntPolynomial([]).is_zero()
