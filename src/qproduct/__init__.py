@@ -2,8 +2,9 @@
 
 The package expands prod_{a=1..n} (1 - q^a)^s over exact integers, extracts
 sums of coefficients along arithmetic progressions of exponents, evaluates
-the matching character-sum and trigonometric formulas with certified integer
-rounding, verifies the cycle-type sieve identities behind them, checks the
+the matching character-sum and trigonometric formulas in floating point and
+rounds them to integers under a first-order error estimate (not a proven
+bound), verifies the cycle-type sieve identities behind them, checks the
 classical series expansions (pentagonal numbers, the cube identity, the
 two-variable square identity, the 24th-power tau truncation), and measures
 the exp(s*K*n) growth of the maximum coefficient.

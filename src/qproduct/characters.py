@@ -8,10 +8,11 @@ progression sum M(j) = sum of t_i over exponents i = j (mod N) satisfies
 which is a plain roots-of-unity filter applied to T(q) = prod (1 - q^a)^s:
 the r-th summand is psi_r^{-1}(j) * T(psi_r(1)).  An equivalent all-real form
 pairs r with N - r and evaluates sine/cosine products.  Both routes return
-certified exact integers: the sums are evaluated in floating point, starting
-with a vectorized double-precision pass and escalating through mpmath
-precisions until the result sits within 0.25 of an integer with the error
-estimate also below 0.25.
+integers: one evaluator sums either form in floating point, starting with a
+vectorized double-precision pass and escalating through mpmath precisions
+until the result sits within 0.25 of an integer with the error estimate also
+below 0.25.  The estimate is first-order, not a proven bound, so the integer
+is not certified; it matches the exact oracle on every input tested.
 
 Special moduli give closed forms with no floating point at all: N = degree+1
 isolates one coefficient per residue, and N = n+1 collapses to a totient
@@ -24,6 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import mpmath
 import numpy as np
@@ -32,6 +34,7 @@ from .errors import PrecisionError
 from .poly import (
     ProductSpec,
     ProgressionQuery,
+    _require_int,
     coefficient_cap,
     cyclic_reduce,
     expansion,
@@ -53,6 +56,8 @@ class CharacterIndex:
     modulus: int
 
     def __post_init__(self):
+        _require_int("index r", self.r)
+        _require_int("modulus", self.modulus)
         if self.modulus < 1:
             raise ValueError(f"modulus must be >= 1, got {self.modulus}")
         if not 0 <= self.r < self.modulus:
@@ -77,41 +82,31 @@ def character_group(modulus: int, *, include_trivial: bool = False):
     return [CharacterIndex(r, modulus) for r in range(start, modulus)]
 
 
+def _factorize(m: int, name: str) -> dict[int, int]:
+    """{p: e} with m = prod p^e, by trial division."""
+    if m < 1:
+        raise ValueError(f"{name} argument must be >= 1, got {m}")
+    factors = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors[m] = 1
+    return factors
+
+
 def euler_phi(m: int) -> int:
     """Euler totient by trial-division factorization."""
-    if m < 1:
-        raise ValueError(f"totient argument must be >= 1, got {m}")
-    result = m
-    k = m
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if k > 1:
-        result -= result // k
-    return result
+    return math.prod((p - 1) * p ** (e - 1) for p, e in _factorize(m, "totient").items())
 
 
 def mobius(m: int) -> int:
     """Moebius function by trial-division factorization."""
-    if m < 1:
-        raise ValueError(f"Moebius argument must be >= 1, got {m}")
-    result = 1
-    k = m
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            k //= p
-            if k % p == 0:
-                return 0
-            result = -result
-        p += 1 if p == 2 else 2
-    if k > 1:
-        result = -result
-    return result
+    exponents = _factorize(m, "Moebius").values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def ramanujan_sum(modulus: int, j: int) -> int:
@@ -130,37 +125,87 @@ def ramanujan_sum(modulus: int, j: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# certified rounding
+# rounding to an integer, shared by both routes
+
+# Both routes sum lead/N * w_r * Re(phase(x*r) * table_r) over r = 1..N/2 with
+# table_r = prod_a factor(a*r)^s, where r stands for the conjugate pair
+# {r, N-r} (w_r = 2) or, for even N, the self-paired r = N/2 (w_r = 1).  The
+# tables do not depend on the residue, so they are cached per (s, n, N) at
+# double precision and per (s, n, N, prec) in mpmath; the mpmath cache stays
+# small because single queries rarely reuse a spec.
 
 
-def _certify(fast, mp_eval, op_factor: int) -> tuple[int, int]:
-    """Round a floating evaluation to a certified integer.
+class _Form(NamedTuple):
+    """A factor or phase as a function of (k, N): numpy and mpmath forms."""
 
-    ``fast`` is None or a (value, scale) pair from the double-precision pass;
-    ``mp_eval(prec)`` returns the same pair as mpmath reals.  ``scale`` bounds
-    the magnitude handled by the sum and feeds a first-order error estimate
-    scale * 2^(1-prec) * op_factor.  Accepts the nearest integer once both the
-    estimate and the rounding residual fall below 0.25; otherwise doubles the
-    precision, failing after 1024 bits.
+    f64: Callable
+    mp: Callable
+
+
+@lru_cache(maxsize=16384)
+def _table_f64(factor, s: int, n: int, modulus: int) -> np.ndarray:
+    k = np.outer(np.arange(1, n + 1), np.arange(1, modulus // 2 + 1))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        return factor(k, modulus).prod(axis=0) ** s
+
+
+@lru_cache(maxsize=32)
+def _table_mp(factor, s: int, n: int, modulus: int, prec: int) -> tuple:
+    with mpmath.workprec(prec):
+        return tuple(
+            mpmath.fprod(factor(a * r, modulus) for a in range(1, n + 1)) ** s
+            for r in range(1, modulus // 2 + 1)
+        )
+
+
+def _rounded_sum(
+    factor: _Form, phase: _Form, x: int, lead: int, spec: ProductSpec, modulus: int
+) -> tuple[int, int]:
+    """Round lead/N * sum_r w_r * Re(phase(x*r) * table_r) to an integer.
+
+    ``scale`` = |lead|/N * sum_r w_r |table_r| bounds the magnitude handled by
+    the sum and feeds the first-order error estimate
+    scale * 2^(1-prec) * (4sn+16); the estimate is not a proven bound.
+    Accepts the nearest integer once both the estimate and the rounding
+    residual fall below 0.25.  Otherwise climbs from 53 bits (numpy, tried only
+    when s*n <= 900) through the mpmath rungs 64, 128, ..., failing after 1024.
     """
-    if fast is not None:
-        value, scale = fast
-        if math.isfinite(value) and math.isfinite(scale):
-            err = scale * 2.0 ** (1 - FAST_PRECISION_BITS) * op_factor
-            nearest = round(value)
-            if err < RESIDUAL_THRESHOLD and abs(value - nearest) < RESIDUAL_THRESHOLD:
-                return int(nearest), FAST_PRECISION_BITS
+    if modulus == 1:
+        return 0, 0  # no nontrivial characters; the sum is empty
+    s, n, sn = spec.s, spec.n, spec.s * spec.n
+    weights = [2] * (modulus // 2)
+    if modulus % 2 == 0:
+        weights[-1] = 1
+    ladder = MP_PRECISION_LADDER
+    if sn <= _FAST_SN_LIMIT:
+        ladder = (FAST_PRECISION_BITS, *ladder)
     residual = None
-    for prec in MP_PRECISION_LADDER:
-        value, scale = mp_eval(prec)
-        # Round and certify at working precision, not the global default.
+    for prec in ladder:
+        with mpmath.workprec(prec):
+            if prec == FAST_PRECISION_BITS:
+                table = _table_f64(factor.f64, s, n, modulus)
+                phases = phase.f64(x * np.arange(1, len(weights) + 1), modulus)
+                w = np.array(weights, dtype=float)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total = float((w * (phases * table).real).sum())
+                    scale = float((w * np.abs(table)).sum())
+            else:
+                table = _table_mp(factor.mp, s, n, modulus, prec)
+                total = scale = mpmath.mpf(0)
+                for r, (w, t) in enumerate(zip(weights, table), 1):
+                    total += w * (phase.mp(x * r, modulus) * t).real
+                    scale += w * abs(t)
+            value = lead * total / modulus
+            scale = abs(lead) * scale / modulus
+        if not (mpmath.isfinite(value) and mpmath.isfinite(scale)):
+            continue
+        # Round and test at working precision, not the global default.
         with mpmath.workprec(prec + 16):
-            err = scale * mpmath.mpf(2) ** (1 - prec) * op_factor
+            err = scale * 2.0 ** (1 - prec) * (4 * sn + 16)
             nearest = int(mpmath.nint(value))
             residual = abs(value - nearest)
-            accepted = err < RESIDUAL_THRESHOLD and residual < RESIDUAL_THRESHOLD
-        if accepted:
-            return nearest, prec
+            if err < RESIDUAL_THRESHOLD and residual < RESIDUAL_THRESHOLD:
+                return nearest, prec
     raise PrecisionError(
         f"certified rounding failed at 1024 bits (last residual {float(residual):.3g})"
     )
@@ -169,71 +214,30 @@ def _certify(fast, mp_eval, op_factor: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # character-sum route (label main00)
 
-# Per-character products prod_a (1 - psi_r(a))^s are independent of the
-# residue j, so they are cached per (s, n, N) and reused across queries.
-
-
-@lru_cache(maxsize=16384)
-def _char_products_f64(s: int, n: int, modulus: int) -> np.ndarray:
-    r = np.arange(1, modulus // 2 + 1)
-    a = np.arange(1, n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.exp((2j * np.pi / modulus) * (np.outer(a, r) % modulus))
-        return (1.0 - z).prod(axis=0) ** s
-
-
-def _pair_weights(modulus: int, count: int) -> np.ndarray:
-    # r < N/2 stands for the conjugate pair {r, N-r}; r = N/2 is self-paired.
-    w = np.full(count, 2.0)
-    if modulus % 2 == 0 and count:
-        w[-1] = 1.0
-    return w
+# factor 1 - psi_r(a) and phase psi_r^{-1}(j), with k = a*r and k = j*r
+_CHAR_FACTOR = _Form(
+    lambda k, N: 1.0 - np.exp((2j * np.pi / N) * (k % N)),
+    lambda k, N: 1 - mpmath.expjpi(mpmath.mpf(2 * (k % N)) / N),
+)
+_CHAR_PHASE = _Form(
+    lambda k, N: np.exp(-2j * np.pi * (k % N) / N),
+    lambda k, N: mpmath.expjpi(mpmath.mpf(-2 * (k % N)) / N),
+)
 
 
 def character_sum_with_precision(
     spec: ProductSpec, query: ProgressionQuery
 ) -> tuple[int, int]:
     """Same as character_sum_main00, also reporting the precision bits used."""
-    s, n = spec.s, spec.n
-    modulus, j = query.modulus, query.residue
-    if modulus == 1:
-        return 0, 0  # no nontrivial characters; the sum is empty
-    half = modulus // 2
-    rr = np.arange(1, half + 1)
-    weights = _pair_weights(modulus, half)
-
-    fast = None
-    if s * n <= _FAST_SN_LIMIT:
-        prods = _char_products_f64(s, n, modulus)
-        with np.errstate(over="ignore", invalid="ignore"):
-            phase = np.exp(-2j * np.pi * ((j * rr) % modulus) / modulus)
-            value = float((weights * (phase * prods).real).sum()) / modulus
-            scale = float((weights * np.abs(prods)).sum()) / modulus
-        fast = (value, scale)
-
-    def mp_eval(prec: int):
-        with mpmath.workprec(prec):
-            total = mpmath.mpf(0)
-            scale = mpmath.mpf(0)
-            for r in range(1, half + 1):
-                w = 1 if 2 * r == modulus else 2
-                prod = mpmath.mpc(1)
-                for a in range(1, n + 1):
-                    prod *= 1 - mpmath.expjpi(mpmath.mpf(2 * ((a * r) % modulus)) / modulus)
-                prod **= s
-                phase = mpmath.expjpi(mpmath.mpf(-2 * ((j * r) % modulus)) / modulus)
-                total += w * (phase * prod).real
-                scale += w * abs(prod)
-            return total / modulus, scale / modulus
-
-    return _certify(fast, mp_eval, op_factor=4 * s * n + 16)
+    return _rounded_sum(_CHAR_FACTOR, _CHAR_PHASE, query.residue, 1, spec, query.modulus)
 
 
 def character_sum_main00(spec: ProductSpec, query: ProgressionQuery) -> int:
     """Progression sum via the character filter over Z_N (label main00).
 
     Evaluates (1/N) * sum_{r != 0} psi_r^{-1}(j) * prod_a (1 - psi_r(a))^s
-    with certified rounding; equals progression_sum_oracle on all inputs.
+    and rounds it once the first-order error estimate allows; equals
+    progression_sum_oracle on all inputs tested.
     """
     return character_sum_with_precision(spec, query)[0]
 
@@ -241,71 +245,37 @@ def character_sum_main00(spec: ProductSpec, query: ProgressionQuery) -> int:
 # ---------------------------------------------------------------------------
 # trigonometric route (label main0000)
 
-
-@lru_cache(maxsize=16384)
-def _sin_products_f64(s: int, n: int, modulus: int) -> np.ndarray:
-    r = np.arange(1, modulus // 2 + 1)
-    a = np.arange(1, n + 1)
-    sines = np.sin(np.pi * (np.outer(a, r) % (2 * modulus)) / modulus)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return sines.prod(axis=0) ** s
+# sin(pi*k/N) is the factor (k = a*r) and, for odd s*n, the phase
+# (k = (2j - degree)*r); cos(pi*k/N) is the phase for even s*n.
+_SIN = _Form(
+    lambda k, N: np.sin(np.pi * (k % (2 * N)) / N),
+    lambda k, N: mpmath.sinpi(mpmath.mpf(k % (2 * N)) / N),
+)
+_COS = _Form(
+    lambda k, N: np.cos(np.pi * (k % (2 * N)) / N),
+    lambda k, N: mpmath.cospi(mpmath.mpf(k % (2 * N)) / N),
+)
 
 
 def trig_form_with_precision(
     spec: ProductSpec, query: ProgressionQuery
 ) -> tuple[int, int]:
     """Same as trig_form_main0000, also reporting the precision bits used."""
-    s, n = spec.s, spec.n
-    modulus, j = query.modulus, query.residue
-    if modulus == 1:
-        return 0, 0
-    sn = s * n
-    delta = 2 * j - spec.degree
-    # (2i)^(sn+1) for odd sn, 2*(2i)^sn for even sn; both real.
-    if sn % 2:
-        lead = (-1) ** ((sn + 1) // 2) * 2 ** (sn + 1)
-    else:
-        lead = (-1) ** (sn // 2) * 2 ** (sn + 1)
-    half = modulus // 2
-    rr = np.arange(1, half + 1)
-    # The printed sum runs over 1 <= r <= N/2 with the conjugate pair already
-    # combined; the self-paired r = N/2 character (N even) carries weight 1/2.
-    weights = _pair_weights(modulus, half) / 2.0
-
-    fast = None
-    if sn <= _FAST_SN_LIMIT:
-        sin_prods = _sin_products_f64(s, n, modulus)
-        angles = np.pi * ((delta * rr) % (2 * modulus)) / modulus
-        osc = np.sin(angles) if sn % 2 else np.cos(angles)
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = lead * float((weights * osc * sin_prods).sum()) / modulus
-            scale = abs(lead) * float((weights * np.abs(sin_prods)).sum()) / modulus
-        fast = (value, scale)
-
-    def mp_eval(prec: int):
-        with mpmath.workprec(prec):
-            total = mpmath.mpf(0)
-            scale = mpmath.mpf(0)
-            for r in range(1, half + 1):
-                w = mpmath.mpf(1) / 2 if 2 * r == modulus else mpmath.mpf(1)
-                prod = mpmath.mpf(1)
-                for a in range(1, n + 1):
-                    prod *= mpmath.sinpi(mpmath.mpf((a * r) % (2 * modulus)) / modulus)
-                prod **= s
-                arg = mpmath.mpf((delta * r) % (2 * modulus)) / modulus
-                osc = mpmath.sinpi(arg) if sn % 2 else mpmath.cospi(arg)
-                total += w * osc * prod
-                scale += w * abs(prod)
-            return lead * total / modulus, abs(lead) * scale / modulus
-
-    return _certify(fast, mp_eval, op_factor=4 * sn + 16)
+    sn = spec.s * spec.n
+    # The printed lead is (2i)^(sn+1) for odd sn and 2*(2i)^sn for even sn,
+    # and the printed sum weighs the self-paired r = N/2 by 1/2 against 1 for
+    # the pairs.  The shared weights are 1 and 2, so the lead is halved:
+    # (-1)^ceil(sn/2) * 2^sn, an exact power of two.
+    lead = (-1) ** ((sn + 1) // 2) * 2**sn
+    delta = 2 * query.residue - spec.degree
+    return _rounded_sum(_SIN, _SIN if sn % 2 else _COS, delta, lead, spec, query.modulus)
 
 
 def trig_form_main0000(spec: ProductSpec, query: ProgressionQuery) -> int:
     """Progression sum via the all-real sine/cosine form (label main0000).
 
     Uses the sine branch when s*n is odd and the cosine branch otherwise;
-    certified-rounded, and equal to character_sum_main00 everywhere.
+    rounded like character_sum_main00, and equal to it everywhere tested.
     """
     return trig_form_with_precision(spec, query)[0]
 

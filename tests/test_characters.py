@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qproduct.errors import PrecisionError
 from qproduct.characters import (
@@ -45,6 +47,12 @@ def test_character_index_basics():
     assert len(character_group(5, include_trivial=True)) == 5
     with pytest.raises(ValueError):
         CharacterIndex(6, 6)
+
+
+@pytest.mark.parametrize("r,modulus", [(1.5, 3), (True, 2), (1, 3.0), (0, True), ("1", 3)])
+def test_character_index_rejects_non_int(r, modulus):
+    with pytest.raises(ValueError):
+        CharacterIndex(r, modulus)
 
 
 def test_number_theory_helpers():
@@ -207,6 +215,48 @@ def test_precision_escalation_beyond_double():
     tvalue, tbits = trig_form_with_precision(spec, query)
     assert tvalue == value
     assert tbits > 53
+
+
+# (s, n, N, j) -> the rung both routes accept; with degree < 12000 the value is
+# also compared with the exact oracle (the two largest cost seconds there).
+@pytest.mark.parametrize(
+    "s,n,modulus,j,bits",
+    [
+        (1, 1, 2, 0, 53),
+        (31, 35, 2, 1, 64),
+        (27, 5, 9, 7, 128),
+        (40, 9, 12, 8, 256),
+        (27, 29, 36, 18, 512),
+        (38, 37, 49, 23, 1024),
+    ],
+)
+def test_precision_ladder_rungs(s, n, modulus, j, bits):
+    spec, query = ProductSpec(s, n), ProgressionQuery(modulus, j)
+    value, char_bits = character_sum_with_precision(spec, query)
+    assert trig_form_with_precision(spec, query) == (value, char_bits)
+    assert char_bits == bits
+    if spec.degree < 12000:
+        assert value == progression_sum_oracle(spec, query)
+
+
+@st.composite
+def _queries(draw):
+    spec = ProductSpec(draw(st.integers(1, 6)), draw(st.integers(1, 12)))
+    modulus = draw(st.integers(1, spec.degree + 3))
+    return spec, ProgressionQuery(modulus, draw(st.integers(0, modulus - 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_queries())
+@example((ProductSpec(3, 4), ProgressionQuery(1, 0)))  # N = 1: empty sum
+@example((ProductSpec(2, 5), ProgressionQuery(31, 30)))  # N = degree+1, j = N-1
+@example((ProductSpec(6, 12), ProgressionQuery(471, 470)))  # N > degree+1, j = N-1
+@example((ProductSpec(5, 7), ProgressionQuery(142, 3)))  # N > degree+1
+def test_routes_match_oracle(case):
+    spec, query = case
+    exact = progression_sum_oracle(spec, query)
+    assert character_sum_main00(spec, query) == exact
+    assert trig_form_main0000(spec, query) == exact
 
 
 def test_precision_failure_is_reported():

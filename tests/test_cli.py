@@ -1,10 +1,12 @@
 """Command-line interface: dispatch, formats, exit codes, byte stability."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from qproduct import asymptotics
 from qproduct.cli import main
 
 GOLDEN = json.loads(
@@ -117,6 +119,16 @@ def test_verify_all(capsys):
         107, 107, 11, 24, 14, 6, 2, 1, 14, 5, 5, 5, 5,
     ]
     assert payload["passed"] is True
+
+
+def test_verify_maxpeak_fails_on_nan(capsys, monkeypatch):
+    nan = asymptotics.SudlerConstant(value=math.nan, argmax_w=0.79, quadrature_error=0.0)
+    monkeypatch.setattr(asymptotics, "sudler_constant", lambda: nan)
+    code, out, _ = run(capsys, "verify", "--theorem", "maxpeak", "--smax", "1", "--nmax", "2")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["checks"][0]["failures"][0]["check"] == "K"
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"]))
