@@ -10,6 +10,7 @@ This module computes exact maximum coefficients, the sup of |T(q)| on the
 unit circle (via the product of 2|sin(a*theta/2)| factors, never the
 coefficient vector), the constant K by quadrature plus golden-section search,
 and least-squares slope fits of log max-coefficient against n.
+scipy is imported on the first call of log_sin_integral, so only K loads it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .poly import ProductSpec, expansion, iter_expansions
 
@@ -142,6 +142,8 @@ def log_sin_integral(w: float, *, epsabs: float = 1e-12) -> tuple[float, float]:
     """
     if not 0.0 < w <= 1.0:
         raise ValueError("w must lie in (0, 1]")
+    from scipy.integrate import quad  # deferred: only K needs scipy
+
     eps = min(_HEAD_SPLIT, w / 2.0)
     head = eps * (math.log(math.pi * eps) - 1.0)
     head -= (math.pi**2) * eps**3 / 18.0 + (math.pi**4) * eps**5 / 900.0

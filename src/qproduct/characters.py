@@ -84,6 +84,7 @@ def character_group(modulus: int, *, include_trivial: bool = False):
 
 def _factorize(m: int, name: str) -> dict[int, int]:
     """{p: e} with m = prod p^e, by trial division."""
+    _require_int(f"{name} argument", m)
     if m < 1:
         raise ValueError(f"{name} argument must be >= 1, got {m}")
     factors = {}

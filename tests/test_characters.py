@@ -55,6 +55,13 @@ def test_character_index_rejects_non_int(r, modulus):
         CharacterIndex(r, modulus)
 
 
+@pytest.mark.parametrize("helper", [euler_phi, mobius])
+@pytest.mark.parametrize("m", [2.5, 6.0, True, False, "6"])
+def test_number_theory_helpers_reject_non_int(helper, m):
+    with pytest.raises(ValueError, match="must be an int"):
+        helper(m)
+
+
 def test_number_theory_helpers():
     assert [euler_phi(m) for m in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
     assert [mobius(m) for m in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,9 +12,8 @@ import pytest
 from qproduct import asymptotics
 from qproduct.cli import main
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parent.parent / "perfbench" / "cli_golden.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "perfbench" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -221,3 +223,28 @@ def test_output_is_byte_stable(capsys):
     a = run(capsys, "kconst")[1]
     b = run(capsys, "kconst")[1]
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "argv,loads_scipy",
+    [
+        (None, False),
+        (["expand", "--s", "2", "--n", "12"], False),
+        (["progsum", "--s", "5", "--n", "20", "--N", "31", "--j", "7",
+          "--method", "character"], False),
+        (["verify", "--theorem", "jacobi"], False),
+        (["kconst"], True),
+    ],
+)
+def test_scipy_loads_only_for_k(argv, loads_scipy):
+    # A fresh interpreter: this process may already hold scipy from other tests.
+    script = "import sys, qproduct\ncode = 0\n"
+    if argv is not None:
+        script += f"from qproduct.cli import main\ncode = main({argv!r})\n"
+    script += 'print(code, "scipy" in sys.modules)\n'
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
