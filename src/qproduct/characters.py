@@ -36,7 +36,6 @@ from .poly import (
     ProgressionQuery,
     _require_int,
     coefficient_cap,
-    cyclic_reduce,
     expansion,
     progression_sum_oracle,
 )
@@ -182,31 +181,37 @@ def _rounded_sum(
         ladder = (FAST_PRECISION_BITS, *ladder)
     residual = None
     for prec in ladder:
-        with mpmath.workprec(prec):
-            if prec == FAST_PRECISION_BITS:
-                table = _table_f64(factor.f64, s, n, modulus)
-                phases = phase.f64(x * np.arange(1, len(weights) + 1), modulus)
-                w = np.array(weights, dtype=float)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    total = float((w * (phases * table).real).sum())
-                    scale = float((w * np.abs(table)).sum())
-            else:
+        if prec == FAST_PRECISION_BITS:
+            # Plain floats end to end: no mpmath context on the double rung.
+            table = _table_f64(factor.f64, s, n, modulus)
+            phases = phase.f64(x * np.arange(1, len(weights) + 1), modulus)
+            w = np.array(weights, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = lead * float((w * (phases * table).real).sum()) / modulus
+                scale = abs(lead) * float((w * np.abs(table)).sum()) / modulus
+            if not (math.isfinite(value) and math.isfinite(scale)):
+                continue
+            err = scale * 2.0 ** (1 - prec) * (4 * sn + 16)
+            nearest = round(value)
+            residual = abs(value - nearest)
+        else:
+            with mpmath.workprec(prec):
                 table = _table_mp(factor.mp, s, n, modulus, prec)
                 total = scale = mpmath.mpf(0)
                 for r, (w, t) in enumerate(zip(weights, table), 1):
                     total += w * (phase.mp(x * r, modulus) * t).real
                     scale += w * abs(t)
-            value = lead * total / modulus
-            scale = abs(lead) * scale / modulus
-        if not (mpmath.isfinite(value) and mpmath.isfinite(scale)):
-            continue
-        # Round and test at working precision, not the global default.
-        with mpmath.workprec(prec + 16):
-            err = scale * 2.0 ** (1 - prec) * (4 * sn + 16)
-            nearest = int(mpmath.nint(value))
-            residual = abs(value - nearest)
-            if err < RESIDUAL_THRESHOLD and residual < RESIDUAL_THRESHOLD:
-                return nearest, prec
+                value = lead * total / modulus
+                scale = abs(lead) * scale / modulus
+            if not (mpmath.isfinite(value) and mpmath.isfinite(scale)):
+                continue
+            # Round and test at working precision, not the global default.
+            with mpmath.workprec(prec + 16):
+                err = scale * 2.0 ** (1 - prec) * (4 * sn + 16)
+                nearest = int(mpmath.nint(value))
+                residual = abs(value - nearest)
+        if err < RESIDUAL_THRESHOLD and residual < RESIDUAL_THRESHOLD:
+            return nearest, prec
     raise PrecisionError(
         f"certified rounding failed at 1024 bits (last residual {float(residual):.3g})"
     )
@@ -341,8 +346,8 @@ def small_modulus_vanishing(spec: ProductSpec, modulus: int) -> bool:
         raise ValueError(
             f"modulus must lie in [1, {spec.n - 1}] for this identity, got {modulus}"
         )
-    row = cyclic_reduce(expansion(spec), modulus)
-    return all(c == 0 for c in row.coeffs)
+    sums = (progression_sum_oracle(spec, ProgressionQuery(modulus, j)) for j in range(modulus))
+    return not any(sums)
 
 
 def divisor_coefficients_div1(spec: ProductSpec, divisor: int) -> tuple[int, int]:

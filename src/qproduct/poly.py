@@ -4,10 +4,10 @@ The central object is the dense coefficient vector of
 
     prod_{a=1..n} (1 - q^a)^s
 
-over arbitrary-precision integers.  Progression sums of those coefficients
-(sums over an arithmetic progression of exponents) are obtained by reducing
-the polynomial mod q^N - 1.  These exact vectors are the ground truth that
-every formula elsewhere in the package is checked against.
+over arbitrary-precision integers.  One kernel multiplies by (1 - q^a) in
+place over two rings: Z[q]/(q^L) for the vector, Z[q]/(q^N - 1) for its sums
+over arithmetic progressions of exponents mod N.  These exact integers are the
+ground truth that every formula elsewhere in the package is checked against.
 """
 
 from __future__ import annotations
@@ -190,19 +190,26 @@ def binomial_power(s: int) -> tuple[int, ...]:
     return tuple((-1) ** k * math.comb(s, k) for k in range(s + 1))
 
 
+def _factor_passes(arr: np.ndarray, s: int, a_values, end: int | None = None):
+    """The one exact kernel: per a in a_values, arr *= (1 - q^a) s times in place,
+    then yield a.  Ring: Z[q]/(q^len(arr) - 1) if end is None, else Z[q]/(q^len(arr))
+    with arr[end:] zero on entry (numpy buffers the overlapping operands)."""
+    size = len(arr)
+    for a in a_values:
+        for _ in range(s):
+            if end is None:
+                arr -= np.roll(arr, a % size)
+            else:
+                end = min(end + a, size)  # one past the running degree
+                if a < end:
+                    np.subtract(arr[a:end], arr[: end - a], out=arr[a:end])
+        yield a
+
+
 def _apply_binomial_factor(arr: np.ndarray, a: int, s: int) -> np.ndarray:
-    """Multiply an object-dtype coefficient array by (1 - q^a)^s."""
-    row = binomial_power(s)
-    old_len = len(arr)
-    out = np.zeros(old_len + a * s, dtype=object)
-    for k, c in enumerate(row):
-        off = a * k
-        if c == 1:
-            out[off : off + old_len] += arr
-        elif c == -1:
-            out[off : off + old_len] -= arr
-        else:
-            out[off : off + old_len] += c * arr
+    """Multiply an object-dtype coefficient array by (1 - q^a)^s (a new array)."""
+    out = np.concatenate((arr, np.zeros(a * s, dtype=object)))
+    next(_factor_passes(out, s, [a], end=len(arr)))
     return out
 
 
@@ -219,9 +226,8 @@ def expand_restricted_product(
 ) -> IntPolynomial:
     """Exact coefficients of prod_{a=1..n} (1 - q^a)^s.
 
-    The factors are merged in increasing a, each raised to s before merging,
-    so intermediate degrees grow monotonically.  Fails fast with
-    ResourceLimitError when the final vector would exceed the coefficient cap.
+    Fails fast with ResourceLimitError when the vector would exceed the
+    coefficient cap.
     """
     limit = cap if cap is not None else coefficient_cap()
     return next(_expansion_pass(spec.s, [spec.n], limit))[1]
@@ -236,21 +242,26 @@ def iter_expansions(s: int, n_values: Sequence[int]) -> Iterator[tuple[int, IntP
     yield from _expansion_pass(s, n_values, coefficient_cap())
 
 
-def _expansion_pass(s, n_values, limit):
-    # The one expansion loop behind expand_restricted_product and iter_expansions.
+def _expansion_pass(s, n_values, limit, modulus=None):
+    # The one pass behind every exact route, cap-checked up front.  Cyclic ring
+    # (modulus given): the row of progression sums.  Truncated ring: t_0 up to
+    # t_{degree//2}, and the reversal law t[deg-i] = (-1)^(sn) t[i] for the rest.
     targets = sorted(set(n_values))
     if not targets or targets[0] < 1:
         raise ValueError("n values must be positive")
-    size = ProductSpec(s, targets[-1]).degree + 1
-    if size > limit:
-        raise ResourceLimitError(f"expansion needs {size} coefficients, cap is {limit}")
-    wanted = set(targets)
-    arr = np.zeros(1, dtype=object)
+    top = ProductSpec(s, targets[-1]).degree
+    if top + 1 > limit:
+        raise ResourceLimitError(f"expansion needs {top + 1} coefficients, cap is {limit}")
+    arr = np.zeros(modulus or top // 2 + 1, dtype=object)
     arr[0] = 1
-    for a in range(1, targets[-1] + 1):
-        arr = _apply_binomial_factor(arr, a, s)
-        if a in wanted:
-            yield a, IntPolynomial(arr.tolist())
+    for a in _factor_passes(arr, s, range(1, targets[-1] + 1), None if modulus else 1):
+        if a in targets and modulus:
+            yield a, tuple(arr.tolist())
+        elif a in targets:
+            degree = s * a * (a + 1) // 2
+            low = arr[: degree // 2 + 1]
+            high = (-1) ** (s * a) * low[(degree - 1) // 2 :: -1]
+            yield a, IntPolynomial(np.concatenate((low, high)).tolist())
 
 
 @lru_cache(maxsize=64)
@@ -275,13 +286,22 @@ def cyclic_reduce(p: IntPolynomial, modulus: int) -> IntPolynomial:
     return IntPolynomial(out)
 
 
+@lru_cache(maxsize=256)
+def _cyclic_row(s: int, n: int, modulus: int, cap: int) -> tuple[int, ...]:
+    # Shared read-only rows of progression sums from the cyclic ring.
+    return next(_expansion_pass(s, [n], cap, modulus))[1]
+
+
 def progression_sum_oracle(spec: ProductSpec, query: ProgressionQuery) -> int:
     """Exact progression sum: sum of t_i over exponents i = j (mod N).
 
-    This is the brute-force evaluator (full expansion, then cyclic reduction)
-    against which every closed-form route is checked.
+    The exact evaluator for every closed-form route: the ring Z[q]/(q^N - 1) or,
+    where cheaper, the Z[q]/(q^L) expansion reduced; the expansion's cap and error.
     """
-    return cyclic_reduce(expansion(spec), query.modulus)[query.residue]
+    # The cyclic ring costs s*n*N, the half expansion about s*n*degree/4.
+    if 4 * query.modulus > spec.degree:
+        return cyclic_reduce(expansion(spec), query.modulus)[query.residue]
+    return _cyclic_row(spec.s, spec.n, query.modulus, coefficient_cap())[query.residue]
 
 
 def reverse_negate_check(p: IntPolynomial, spec: ProductSpec) -> bool:

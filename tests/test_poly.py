@@ -1,15 +1,19 @@
 """Exact expansion, cyclic reduction, and serialization of the core polynomials."""
 
+import functools
 import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qproduct.errors import ResourceLimitError
 from qproduct.poly import (
     IntPolynomial,
     ProductSpec,
     ProgressionQuery,
+    _expansion_pass,
     binomial_power,
     cyclic_reduce,
     expand_restricted_product,
@@ -217,3 +221,78 @@ def test_csv_roundtrip():
     assert lines[1] == "0,1"
     assert len(lines) == len(p.coeffs) + 1
     assert IntPolynomial.from_csv(text) == p
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the exact kernel in both rings against a poly_mul fold
+
+
+@functools.lru_cache(maxsize=None)
+def _fold(s, n):
+    """Expansions for n' = 0..n by a plain poly_mul fold of the literal factors."""
+    out = [[1]]
+    for a in range(1, n + 1):
+        factor = [1] + [0] * (a - 1) + [-1]
+        p = out[-1]
+        for _ in range(s):
+            p = poly_mul(p, factor)
+        out.append(p)
+    return tuple(out)
+
+
+_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+_S, _N = st.integers(1, 7), st.integers(1, 16)
+
+
+@_SETTINGS
+@given(_S, _N)
+@example(7, 16)
+@example(1, 1)
+def test_expansion_matches_fold(s, n):
+    # the upper half comes from the reversal law, so compare every coefficient
+    assert expand_restricted_product(ProductSpec(s, n)).coeffs == _fold(s, n)[n]
+
+
+@_SETTINGS
+@given(_S, st.lists(_N, min_size=1, max_size=6))
+@example(3, [9, 2, 9, 1, 5])
+def test_iter_expansions_unsorted_and_repeated(s, n_values):
+    snaps = [(n, p.coeffs) for n, p in iter_expansions(s, n_values)]
+    folds = _fold(s, max(n_values))
+    assert snaps == [(n, folds[n]) for n in sorted(set(n_values))]
+
+
+@_SETTINGS
+@given(_S, _N)
+@example(1, 16)  # N = n divides a = n in the cyclic ring
+@example(7, 16)
+@example(1, 2)
+def test_oracle_matches_reduced_fold(s, n):
+    spec = ProductSpec(s, n)
+    p = IntPolynomial(_fold(s, n)[n])
+    degree = spec.degree
+    for modulus in sorted({1, 2, n, n + 1, degree, degree + 1, degree + 3}):
+        reduced = cyclic_reduce(p, modulus).coeffs
+        # the cyclic ring itself, at every modulus, whichever route the oracle takes
+        assert list(next(_expansion_pass(s, [n], degree + 1, modulus))[1]) == reduced
+        # every residue at the small moduli, a spread at the large ones,
+        # where the oracle reduces the expansion again for each query
+        residues = range(modulus) if modulus <= n + 1 else {0, 1, modulus // 2, modulus - 1}
+        for j in residues:
+            assert progression_sum_oracle(spec, ProgressionQuery(modulus, j)) == reduced[j]
+
+
+@pytest.mark.parametrize("s,n,modulus", [(3, 10, 13), (3, 10, 166), (1, 5, 16)])
+def test_oracle_cap_matches_expansion_cap(monkeypatch, s, n, modulus):
+    # small moduli take the cyclic ring, large ones the expansion; the cap is
+    # the expansion's in both, also when the row is already cached
+    spec, query = ProductSpec(s, n), ProgressionQuery(modulus, 1)
+    size = spec.degree + 1
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", str(size))
+    value = progression_sum_oracle(spec, query)
+    assert value == cyclic_reduce(IntPolynomial(_fold(s, n)[n]), modulus)[1]
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", str(size - 1))
+    message = f"expansion needs {size} coefficients, cap is {size - 1}"
+    with pytest.raises(ResourceLimitError) as caught:
+        progression_sum_oracle(spec, query)
+    assert str(caught.value) == message
