@@ -37,6 +37,7 @@ from .poly import (
     _require_int,
     coefficient_cap,
     expansion,
+    progression_row,
     progression_sum_oracle,
 )
 
@@ -339,15 +340,14 @@ def small_modulus_vanishing(spec: ProductSpec, modulus: int) -> bool:
     """All progression sums vanish for moduli 1 <= N <= n-1 (label main00cor).
 
     Every nontrivial character of Z_N has order d with 2 <= d <= N < n, so the
-    factor (1 - psi(d)) kills its product term.  Returns the conjunction of
-    oracle checks over all residues.
+    factor (1 - psi(d)) kills its product term.  Returns whether the exact
+    row of progression sums mod N is all zero.
     """
     if not 1 <= modulus <= spec.n - 1:
         raise ValueError(
             f"modulus must lie in [1, {spec.n - 1}] for this identity, got {modulus}"
         )
-    sums = (progression_sum_oracle(spec, ProgressionQuery(modulus, j)) for j in range(modulus))
-    return not any(sums)
+    return progression_row(spec, modulus).is_zero()
 
 
 def divisor_coefficients_div1(spec: ProductSpec, divisor: int) -> tuple[int, int]:

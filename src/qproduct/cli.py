@@ -216,7 +216,7 @@ def _main0_cases(args):
 
 def _main1_cases(args):
     for spec in _specs(args.smax, args.nmax):
-        row = poly.cyclic_reduce(poly.expansion(spec), spec.n + 1).coeffs
+        row = poly.progression_row(spec, spec.n + 1)
         for j in range(spec.n + 1):
             got = characters.closed_form_main1(spec, j)
             yield {"s": spec.s, "n": spec.n, "j": j}, row[j], got

@@ -4,9 +4,9 @@ The central object is the dense coefficient vector of
 
     prod_{a=1..n} (1 - q^a)^s
 
-over arbitrary-precision integers.  One kernel multiplies by (1 - q^a) in
-place over two rings: Z[q]/(q^L) for the vector, Z[q]/(q^N - 1) for its sums
-over arithmetic progressions of exponents mod N.  These exact integers are the
+over arbitrary-precision integers, built by multiplying by (1 - q^a) in place
+over two rings: Z[q]/(q^L) for the vector, Z[q]/(q^N - 1) for its sums over
+arithmetic progressions of exponents mod N.  These exact integers are the
 ground truth that every formula elsewhere in the package is checked against.
 """
 
@@ -190,26 +190,20 @@ def binomial_power(s: int) -> tuple[int, ...]:
     return tuple((-1) ** k * math.comb(s, k) for k in range(s + 1))
 
 
-def _factor_passes(arr: np.ndarray, s: int, a_values, end: int | None = None):
-    """The one exact kernel: per a in a_values, arr *= (1 - q^a) s times in place,
-    then yield a.  Ring: Z[q]/(q^len(arr) - 1) if end is None, else Z[q]/(q^len(arr))
-    with arr[end:] zero on entry (numpy buffers the overlapping operands)."""
-    size = len(arr)
-    for a in a_values:
-        for _ in range(s):
-            if end is None:
-                arr -= np.roll(arr, a % size)
-            else:
-                end = min(end + a, size)  # one past the running degree
-                if a < end:
-                    np.subtract(arr[a:end], arr[: end - a], out=arr[a:end])
-        yield a
+def _multiply_in_place(arr: np.ndarray, a: int, s: int, end: int) -> int:
+    # arr *= (1 - q^a)^s in Z[q]/(q^len(arr)), arr[end:] zero on entry; returns
+    # the new end, one past the degree.  numpy buffers overlapping operands.
+    for _ in range(s):
+        end = min(end + a, len(arr))
+        if a < end:
+            np.subtract(arr[a:end], arr[: end - a], out=arr[a:end])
+    return end
 
 
 def _apply_binomial_factor(arr: np.ndarray, a: int, s: int) -> np.ndarray:
     """Multiply an object-dtype coefficient array by (1 - q^a)^s (a new array)."""
     out = np.concatenate((arr, np.zeros(a * s, dtype=object)))
-    next(_factor_passes(out, s, [a], end=len(arr)))
+    _multiply_in_place(out, a, s, len(arr))
     return out
 
 
@@ -242,22 +236,21 @@ def iter_expansions(s: int, n_values: Sequence[int]) -> Iterator[tuple[int, IntP
     yield from _expansion_pass(s, n_values, coefficient_cap())
 
 
-def _expansion_pass(s, n_values, limit, modulus=None):
-    # The one pass behind every exact route, cap-checked up front.  Cyclic ring
-    # (modulus given): the row of progression sums.  Truncated ring: t_0 up to
-    # t_{degree//2}, and the reversal law t[deg-i] = (-1)^(sn) t[i] for the rest.
+def _expansion_pass(s, n_values, limit):
+    # Z[q]/(q^L) with L = top//2 + 1: t_0 up to t_{degree//2}, and the reversal
+    # law t[deg-i] = (-1)^(sn) t[i] for the rest.  Cap-checked up front.
     targets = sorted(set(n_values))
     if not targets or targets[0] < 1:
         raise ValueError("n values must be positive")
     top = ProductSpec(s, targets[-1]).degree
     if top + 1 > limit:
         raise ResourceLimitError(f"expansion needs {top + 1} coefficients, cap is {limit}")
-    arr = np.zeros(modulus or top // 2 + 1, dtype=object)
+    arr = np.zeros(top // 2 + 1, dtype=object)
     arr[0] = 1
-    for a in _factor_passes(arr, s, range(1, targets[-1] + 1), None if modulus else 1):
-        if a in targets and modulus:
-            yield a, tuple(arr.tolist())
-        elif a in targets:
+    end = 1
+    for a in range(1, targets[-1] + 1):
+        end = _multiply_in_place(arr, a, s, end)
+        if a in targets:
             degree = s * a * (a + 1) // 2
             low = arr[: degree // 2 + 1]
             high = (-1) ** (s * a) * low[(degree - 1) // 2 :: -1]
@@ -287,21 +280,36 @@ def cyclic_reduce(p: IntPolynomial, modulus: int) -> IntPolynomial:
 
 
 @lru_cache(maxsize=256)
-def _cyclic_row(s: int, n: int, modulus: int, cap: int) -> tuple[int, ...]:
-    # Shared read-only rows of progression sums from the cyclic ring.
-    return next(_expansion_pass(s, [n], cap, modulus))[1]
+def _cyclic_row(s: int, n: int, modulus: int) -> IntPolynomial:
+    # Shared read-only rows: Z[q]/(q^N - 1), one roll per factor pass.
+    arr = np.zeros(modulus, dtype=object)
+    arr[0] = 1
+    for a in range(1, n + 1):
+        for _ in range(s):
+            arr -= np.roll(arr, a % modulus)
+    return IntPolynomial(arr.tolist())
+
+
+def progression_row(spec: ProductSpec, modulus: int) -> IntPolynomial:
+    """Cached read-only row of progression sums mod N, from Z[q]/(q^N - 1).
+
+    Past N = degree + 1 the row is the product itself and reads 0 beyond it.
+    """
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    size, limit = spec.degree + 1, coefficient_cap()
+    if size > limit:  # the expansion's cap and text, checked before the cache
+        raise ResourceLimitError(f"expansion needs {size} coefficients, cap is {limit}")
+    return _cyclic_row(spec.s, spec.n, min(modulus, size))
 
 
 def progression_sum_oracle(spec: ProductSpec, query: ProgressionQuery) -> int:
     """Exact progression sum: sum of t_i over exponents i = j (mod N).
 
-    The exact evaluator for every closed-form route: the ring Z[q]/(q^N - 1) or,
-    where cheaper, the Z[q]/(q^L) expansion reduced; the expansion's cap and error.
+    The exact evaluator for every closed-form route: an entry of progression_row,
+    from the ring Z[q]/(q^N - 1) instead of the Z[q]/(q^L) expansion.
     """
-    # The cyclic ring costs s*n*N, the half expansion about s*n*degree/4.
-    if 4 * query.modulus > spec.degree:
-        return cyclic_reduce(expansion(spec), query.modulus)[query.residue]
-    return _cyclic_row(spec.s, spec.n, query.modulus, coefficient_cap())[query.residue]
+    return progression_row(spec, query.modulus)[query.residue]
 
 
 def reverse_negate_check(p: IntPolynomial, spec: ProductSpec) -> bool:

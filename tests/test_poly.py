@@ -13,13 +13,13 @@ from qproduct.poly import (
     IntPolynomial,
     ProductSpec,
     ProgressionQuery,
-    _expansion_pass,
     binomial_power,
     cyclic_reduce,
     expand_restricted_product,
     iter_expansions,
     multiply_by_binomial_power,
     poly_mul,
+    progression_row,
     progression_sum_oracle,
     reverse_negate_check,
 )
@@ -273,19 +273,26 @@ def test_oracle_matches_reduced_fold(s, n):
     degree = spec.degree
     for modulus in sorted({1, 2, n, n + 1, degree, degree + 1, degree + 3}):
         reduced = cyclic_reduce(p, modulus).coeffs
-        # the cyclic ring itself, at every modulus, whichever route the oracle takes
-        assert list(next(_expansion_pass(s, [n], degree + 1, modulus))[1]) == reduced
-        # every residue at the small moduli, a spread at the large ones,
-        # where the oracle reduces the expansion again for each query
-        residues = range(modulus) if modulus <= n + 1 else {0, 1, modulus // 2, modulus - 1}
-        for j in residues:
+        row = progression_row(spec, modulus)
+        # past degree + 1 the row holds the product itself and reads 0 beyond it
+        assert len(row) == min(modulus, degree + 1) and row == IntPolynomial(reduced)
+        for j in range(modulus):
             assert progression_sum_oracle(spec, ProgressionQuery(modulus, j)) == reduced[j]
+
+
+def test_oracle_huge_modulus_keeps_row_short():
+    spec = ProductSpec(1, 3)
+    assert progression_row(spec, 10**7).coeffs == [1, -1, -1, 0, 1, 1, -1]
+    assert progression_sum_oracle(spec, ProgressionQuery(10**7, 6)) == -1
+    assert progression_sum_oracle(spec, ProgressionQuery(10**7, 10**7 - 1)) == 0
+    with pytest.raises(ValueError):
+        progression_row(spec, 0)
 
 
 @pytest.mark.parametrize("s,n,modulus", [(3, 10, 13), (3, 10, 166), (1, 5, 16)])
 def test_oracle_cap_matches_expansion_cap(monkeypatch, s, n, modulus):
-    # small moduli take the cyclic ring, large ones the expansion; the cap is
-    # the expansion's in both, also when the row is already cached
+    # the cap is the expansion's at every modulus, past degree + 1 too, and
+    # also when the row is already cached
     spec, query = ProductSpec(s, n), ProgressionQuery(modulus, 1)
     size = spec.degree + 1
     monkeypatch.setenv("QPRODUCT_COEFF_CAP", str(size))
