@@ -8,11 +8,13 @@ progression sum M(j) = sum of t_i over exponents i = j (mod N) satisfies
 which is a plain roots-of-unity filter applied to T(q) = prod (1 - q^a)^s:
 the r-th summand is psi_r^{-1}(j) * T(psi_r(1)).  An equivalent all-real form
 pairs r with N - r and evaluates sine/cosine products.  Both routes return
-integers: one evaluator sums either form in floating point, starting with a
-vectorized double-precision pass and escalating through mpmath precisions
-until the result sits within 0.25 of an integer with the error estimate also
-below 0.25.  The estimate is first-order, not a proven bound, so the integer
-is not certified; it matches the exact oracle on every input tested.
+integers: one evaluator sums either form in floating point, from a vectorized
+double-precision pass up through mpmath precisions, until the result sits
+within 0.25 of an integer with the error estimate also below 0.25.  It starts
+at the first precision whose predicted estimate can pass and evaluates each
+root of unity once per product table and precision.  The estimate is
+first-order, not a proven bound, so the integer is not certified; it matches
+the exact oracle on every input tested.
 
 Special moduli give closed forms with no floating point at all: N = degree+1
 isolates one coefficient per residue, and N = n+1 collapses to a totient
@@ -153,10 +155,34 @@ def _table_f64(factor, s: int, n: int, modulus: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _table_mp(factor, s: int, n: int, modulus: int, prec: int) -> tuple:
     with mpmath.workprec(prec):
+        # Both mp factor forms reduce k mod 2N first: one value per residue.
+        value = lru_cache(maxsize=None)(lambda k: factor(k, modulus))
         return tuple(
-            mpmath.fprod(factor(a * r, modulus) for a in range(1, n + 1)) ** s
+            mpmath.fprod(value(a * r % (2 * modulus)) for a in range(1, n + 1)) ** s
             for r in range(1, modulus // 2 + 1)
         )
+
+
+@lru_cache(maxsize=16384)
+def _ladder(factor: _Form, lead: int, spec: ProductSpec, modulus: int) -> tuple:
+    """The rungs of _rounded_sum from the first whose predicted estimate can pass.
+
+    log2(scale) is predicted from s * sum_a log2|factor(a*r)|, which cannot
+    overflow; rungs whose estimate is then at least 0.25 * 2^4 are skipped,
+    never the last.  Factors with k = 0 (mod N) are exactly zero in mpmath and
+    masked to zero here, where numpy's sin(pi) is 1.2e-16.
+    """
+    s, n, sn = spec.s, spec.n, spec.s * spec.n
+    ladder = (FAST_PRECISION_BITS,) * (sn <= _FAST_SN_LIMIT) + MP_PRECISION_LADDER
+    k = np.outer(np.arange(1, n + 1), np.arange(1, modulus // 2 + 1))
+    with np.errstate(divide="ignore"):
+        magnitudes = np.where(k % modulus, abs(factor.f64(k, modulus)), 0)
+        logs = s * np.log2(magnitudes).sum(axis=0)
+    logs[-1] -= modulus % 2 == 0  # so that logs + 1 adds log2 w_r, 0 for r = N/2
+    log2_lead = math.log2(abs(lead)) - math.log2(modulus)  # lead may be 2^(sn)
+    log2_err = np.logaddexp2.reduce(logs + 1) + log2_lead + 1 + math.log2(4 * sn + 16)
+    limit = math.log2(RESIDUAL_THRESHOLD * 2**4)  # 4 bits of margin
+    return ladder[sum(log2_err - prec >= limit for prec in ladder[:-1]) :]
 
 
 def _rounded_sum(
@@ -169,7 +195,9 @@ def _rounded_sum(
     scale * 2^(1-prec) * (4sn+16); the estimate is not a proven bound.
     Accepts the nearest integer once both the estimate and the rounding
     residual fall below 0.25.  Otherwise climbs from 53 bits (numpy, tried only
-    when s*n <= 900) through the mpmath rungs 64, 128, ..., failing after 1024.
+    when s*n <= 900) through the mpmath rungs 64, 128, ..., failing after 1024,
+    but starts at the first rung whose predicted estimate can pass (_ladder).
+    Each root of unity is evaluated once per product table and rung.
     """
     if modulus == 1:
         return 0, 0  # no nontrivial characters; the sum is empty
@@ -177,11 +205,8 @@ def _rounded_sum(
     weights = [2] * (modulus // 2)
     if modulus % 2 == 0:
         weights[-1] = 1
-    ladder = MP_PRECISION_LADDER
-    if sn <= _FAST_SN_LIMIT:
-        ladder = (FAST_PRECISION_BITS, *ladder)
     residual = None
-    for prec in ladder:
+    for prec in _ladder(factor, lead, spec, modulus):
         if prec == FAST_PRECISION_BITS:
             # Plain floats end to end: no mpmath context on the double rung.
             table = _table_f64(factor.f64, s, n, modulus)

@@ -2,13 +2,24 @@
 
 import itertools
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qproduct.errors import PrecisionError
 from qproduct.characters import (
+    _CHAR_FACTOR,
+    _FAST_SN_LIMIT,
+    _SIN,
+    FAST_PRECISION_BITS,
+    MP_PRECISION_LADDER,
+    RESIDUAL_THRESHOLD,
     CharacterIndex,
+    _ladder,
+    _table_f64,
+    _table_mp,
     character_group,
     character_sum_main00,
     character_sum_with_precision,
@@ -270,3 +281,77 @@ def test_precision_failure_is_reported():
     # (1-q)^4000 at modulus 3: character terms of size ~3^2000 overwhelm 1024 bits
     with pytest.raises(PrecisionError):
         character_sum_main00(ProductSpec(4000, 1), ProgressionQuery(3, 0))
+
+
+def test_precision_failure_texts_are_pinned():
+    # past 1024 bits both routes report the residual of the last rung
+    spec, query = ProductSpec(60, 49), ProgressionQuery(60, 26)
+    for route, residual in [
+        (character_sum_with_precision, "0.0396"),
+        (trig_form_with_precision, "0.0229"),
+    ]:
+        with pytest.raises(PrecisionError) as info:
+            route(spec, query)
+        assert str(info.value) == (
+            f"certified rounding failed at 1024 bits (last residual {residual})"
+        )
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+@pytest.mark.parametrize("factor", [_CHAR_FACTOR, _SIN], ids=["char", "sin"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(st.integers(1, 5), st.integers(1, 9), st.integers(1, 40))
+@example(2, 3, 1)  # N = 1: empty table
+@example(3, 1, 2)  # N = 2, n = 1
+@example(1, 2, 7)  # odd N, n = 2
+@example(2, 3, 12)  # even N, n = 3: a*r runs past 2N
+def test_mp_table_matches_direct_products(factor, prec, s, n, modulus):
+    table = _table_mp(factor.mp, s, n, modulus, prec)
+    with mpmath.workprec(prec):
+        direct = [
+            mpmath.fprod(factor.mp(a * r, modulus) for a in range(1, n + 1)) ** s
+            for r in range(1, modulus // 2 + 1)
+        ]
+    assert len(table) == len(direct)
+    assert all(t == d for t, d in zip(table, direct))
+
+
+def _estimate(factor, lead, spec, modulus, prec):
+    """The error estimate of _rounded_sum at one rung, from the same tables."""
+    sn = spec.s * spec.n
+    weights = [2] * (modulus // 2)
+    if modulus % 2 == 0:
+        weights[-1] = 1
+    if prec == FAST_PRECISION_BITS:
+        table = _table_f64(factor.f64, spec.s, spec.n, modulus)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = abs(lead) * float((np.array(weights) * np.abs(table)).sum()) / modulus
+        return scale * 2.0 ** (1 - prec) * (4 * sn + 16)
+    with mpmath.workprec(prec):
+        table = _table_mp(factor.mp, spec.s, spec.n, modulus, prec)
+        scale = abs(lead) * sum(w * abs(t) for w, t in zip(weights, table)) / modulus
+    with mpmath.workprec(prec + 16):
+        return scale * 2.0 ** (1 - prec) * (4 * sn + 16)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.builds(ProductSpec, st.integers(1, 40), st.integers(1, 45)),
+    st.integers(2, 130),
+    st.booleans(),
+)
+# a*r = N (mod 2N) at a = 207: the sine factor is exactly zero in mpmath but
+# 1.2e-16 in numpy, and unmasked it would predict that the 64-bit rung fails
+@example(ProductSpec(6, 379), 207, True)
+def test_skipped_rungs_fail_the_estimate(spec, modulus, trig):
+    # a skipped rung must fail err < 0.25, so skipping never moves the accepted rung
+    sn = spec.s * spec.n
+    factor, lead = (_SIN, (-1) ** ((sn + 1) // 2) * 2**sn) if trig else (_CHAR_FACTOR, 1)
+    full = MP_PRECISION_LADDER
+    if sn <= _FAST_SN_LIMIT:
+        full = (FAST_PRECISION_BITS, *full)
+    ladder = _ladder(factor, lead, spec, modulus)
+    skipped = full[: len(full) - len(ladder)]
+    assert skipped + ladder == full
+    for prec in skipped:
+        assert not _estimate(factor, lead, spec, modulus, prec) < RESIDUAL_THRESHOLD
