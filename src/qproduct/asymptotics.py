@@ -88,15 +88,11 @@ def golden_section_max(
     return x, f(x)
 
 
-def _log_abs_on_circle(spec: ProductSpec, theta: float) -> float:
-    """log |T(e^(i*theta))| = s * sum_a log(2 |sin(a*theta/2)|); -inf at zeros."""
-    total = 0.0
-    for a in range(1, spec.n + 1):
-        mag = 2.0 * abs(math.sin(a * theta / 2.0))
-        if mag == 0.0:
-            return -math.inf
-        total += math.log(mag)
-    return spec.s * total
+def _log_abs_on_circle(spec: ProductSpec, thetas: np.ndarray) -> np.ndarray:
+    """log |T(e^(i*theta))| = s * sum_a log(2 |sin(a*theta/2)|) per theta; -inf at zeros."""
+    a = np.arange(1, spec.n + 1)
+    with np.errstate(divide="ignore"):
+        return spec.s * np.log(2.0 * np.abs(np.sin(np.outer(a, thetas) / 2.0))).sum(axis=0)
 
 
 def unit_circle_max(spec: ProductSpec, samples: int | None = None) -> float:
@@ -113,22 +109,15 @@ def unit_circle_max(spec: ProductSpec, samples: int | None = None) -> float:
     if samples < min_samples:
         raise ValueError(f"need at least {min_samples} samples, got {samples}")
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    a = np.arange(1, spec.n + 1)
-    log_total = np.zeros(samples)
-    with np.errstate(divide="ignore"):
-        # Chunk the (n x samples) grid to bound memory.
-        step = max(1, 4_000_000 // spec.n)
-        for start in range(0, samples, step):
-            block = thetas[start : start + step]
-            mags = 2.0 * np.abs(np.sin(np.outer(a, block) / 2.0))
-            log_total[start : start + step] = np.log(mags).sum(axis=0)
-    log_total *= spec.s
+    step = max(1, 4_000_000 // spec.n)  # chunk the (n x samples) grid to bound memory
+    log_total = np.concatenate(
+        [_log_abs_on_circle(spec, thetas[i : i + step]) for i in range(0, samples, step)]
+    )
     best = int(np.argmax(log_total))
     spacing = 2.0 * np.pi / samples
-    lo = thetas[best] - spacing
-    hi = thetas[best] + spacing
     _, log_peak = golden_section_max(
-        lambda t: _log_abs_on_circle(spec, t), lo, hi, tol=1e-13
+        lambda t: float(_log_abs_on_circle(spec, np.array([t]))[0]),
+        thetas[best] - spacing, thetas[best] + spacing, tol=1e-13,
     )
     return math.exp(max(log_peak, float(log_total[best])))
 

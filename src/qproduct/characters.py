@@ -10,11 +10,12 @@ the r-th summand is psi_r^{-1}(j) * T(psi_r(1)).  An equivalent all-real form
 pairs r with N - r and evaluates sine/cosine products.  Both routes return
 integers: one evaluator sums either form in floating point, from a vectorized
 double-precision pass up through mpmath precisions, until the result sits
-within 0.25 of an integer with the error estimate also below 0.25.  It starts
-at the first precision whose predicted estimate can pass and evaluates each
-root of unity once per product table and precision.  The estimate is
-first-order, not a proven bound, so the integer is not certified; it matches
-the exact oracle on every input tested.
+within 0.25 of an integer with the error estimate also below 0.25.  Both
+routes climb one ladder: they skip the double pass past s*n = 900 and start
+at the first precision whose estimate, predicted once per (s, n, N) from
+|T(psi_r(1))|, can pass.  Each root of unity is evaluated once per product
+table and precision.  The estimate is first-order, not a proven bound, so the
+integer is not certified; it matches the exact oracle on every input tested.
 
 Special moduli give closed forms with no floating point at all: N = degree+1
 isolates one coefficient per residue, and N = n+1 collapses to a totient
@@ -32,12 +33,11 @@ from typing import Callable, NamedTuple
 import mpmath
 import numpy as np
 
-from .errors import PrecisionError
+from .errors import PrecisionError, ResourceLimitError
 from .poly import (
     ProductSpec,
     ProgressionQuery,
     _require_int,
-    coefficient_cap,
     expansion,
     progression_row,
     progression_sum_oracle,
@@ -46,7 +46,7 @@ from .poly import (
 RESIDUAL_THRESHOLD = 0.25
 FAST_PRECISION_BITS = 53
 MP_PRECISION_LADDER = (64, 128, 256, 512, 1024)
-# Fast path skipped when 2^(s*n) alone would overflow a double.
+# Both routes skip the double rung past this s*n (2^(s*n) overflows): one ladder.
 _FAST_SN_LIMIT = 900
 
 
@@ -164,23 +164,24 @@ def _table_mp(factor, s: int, n: int, modulus: int, prec: int) -> tuple:
 
 
 @lru_cache(maxsize=16384)
-def _ladder(factor: _Form, lead: int, spec: ProductSpec, modulus: int) -> tuple:
-    """The rungs of _rounded_sum from the first whose predicted estimate can pass.
+def _ladder(spec: ProductSpec, modulus: int) -> tuple:
+    """The shared rungs of _rounded_sum, from the first whose estimate can pass.
 
-    log2(scale) is predicted from s * sum_a log2|factor(a*r)|, which cannot
-    overflow; rungs whose estimate is then at least 0.25 * 2^4 are skipped,
-    never the last.  Factors with k = 0 (mod N) are exactly zero in mpmath and
-    masked to zero here, where numpy's sin(pi) is 1.2e-16.
+    Both routes drop the double rung past s*n = 900 and have |lead * table_r|
+    = prod_a |2 sin(pi*a*r/N)|^s, so one prediction per (s, n, N) serves both:
+    log2(scale) from s * sum_a log2|2 sin(pi*a*r/N)|, which cannot overflow.
+    Rungs whose estimate is then at least 0.25 * 2^4 are skipped, never the
+    last.  Factors with a*r = 0 (mod N) are exactly zero in mpmath and masked
+    to zero here, where numpy's sin(pi) is 1.2e-16.
     """
     s, n, sn = spec.s, spec.n, spec.s * spec.n
     ladder = (FAST_PRECISION_BITS,) * (sn <= _FAST_SN_LIMIT) + MP_PRECISION_LADDER
     k = np.outer(np.arange(1, n + 1), np.arange(1, modulus // 2 + 1))
     with np.errstate(divide="ignore"):
-        magnitudes = np.where(k % modulus, abs(factor.f64(k, modulus)), 0)
+        magnitudes = np.where(k % modulus, abs(2 * _SIN.f64(k, modulus)), 0)
         logs = s * np.log2(magnitudes).sum(axis=0)
     logs[-1] -= modulus % 2 == 0  # so that logs + 1 adds log2 w_r, 0 for r = N/2
-    log2_lead = math.log2(abs(lead)) - math.log2(modulus)  # lead may be 2^(sn)
-    log2_err = np.logaddexp2.reduce(logs + 1) + log2_lead + 1 + math.log2(4 * sn + 16)
+    log2_err = np.logaddexp2.reduce(logs + 1) - math.log2(modulus) + 1 + math.log2(4 * sn + 16)
     limit = math.log2(RESIDUAL_THRESHOLD * 2**4)  # 4 bits of margin
     return ladder[sum(log2_err - prec >= limit for prec in ladder[:-1]) :]
 
@@ -206,7 +207,7 @@ def _rounded_sum(
     if modulus % 2 == 0:
         weights[-1] = 1
     residual = None
-    for prec in _ladder(factor, lead, spec, modulus):
+    for prec in _ladder(spec, modulus):
         if prec == FAST_PRECISION_BITS:
             # Plain floats end to end: no mpmath context on the double rung.
             table = _table_f64(factor.f64, s, n, modulus)
@@ -431,11 +432,13 @@ def tau_progression(n: int, j: int) -> int:
         raise ValueError(f"residue must lie in [0, {n}], got {j}")
     spec = ProductSpec(24, n)
     value = closed_form_main1(spec, j)
-    if spec.degree + 1 <= coefficient_cap():
+    try:
         actual = progression_sum_oracle(spec, ProgressionQuery(n + 1, j))
-        if actual != value:
-            raise ArithmeticError(
-                f"tau progression mismatch at n={n}, j={j}: closed form {value}, "
-                f"oracle {actual}"
-            )
+    except ResourceLimitError:
+        return value  # above the coefficient cap: closed form, unchecked
+    if actual != value:
+        raise ArithmeticError(
+            f"tau progression mismatch at n={n}, j={j}: closed form {value}, "
+            f"oracle {actual}"
+        )
     return value

@@ -91,22 +91,23 @@ def _cmd_coeff(args) -> int:
     spec = poly.ProductSpec(args.s, args.n)
     if not 0 <= args.j <= spec.degree:
         raise ValueError(f"coefficient index must lie in [0, {spec.degree}]")
-    modulus = spec.degree + 1
-    method = "character" if args.method == "character" else "oracle"
-    record = _progsum_record(args.s, args.n, modulus, args.j, method)
+    record = _progsum_record(args.s, args.n, spec.degree + 1, args.j, args.method)
     record["command"] = "coeff"
     _emit(_json(record), args.output)
     return EXIT_OK
 
 
+# name -> (s, series(limit, args)), whose prefix is the product's s-th power
+_SERIES = {
+    "pentagonal": (1, lambda limit, args: partitions.pentagonal_series(limit)),
+    "jacobi": (3, lambda limit, args: partitions.jacobi_series(limit, args.convention)),
+    "hecke-rogers": (2, lambda limit, args: partitions.hecke_rogers_series(limit)),
+}
+
+
 def _cmd_series(args) -> int:
     name = args.name
-    if name == "pentagonal":
-        terms = partitions.pentagonal_series(args.max)
-    elif name == "jacobi":
-        terms = partitions.jacobi_series(args.max, args.convention)
-    else:
-        terms = partitions.hecke_rogers_series(args.max)
+    terms = _SERIES[name][1](args.max, args)
     if args.format == "csv":
         _emit(partitions.series_to_csv(terms), args.output)
     else:
@@ -297,18 +298,7 @@ _CHECKS = {
     ),
     "tau": (_tau_cases, _VALUES),
     "maxpeak": (_maxpeak_cases, (None, None)),
-    "pentagonal": (
-        _series_cases(1, lambda limit, args: partitions.pentagonal_series(limit)),
-        _PREFIXES,
-    ),
-    "jacobi": (
-        _series_cases(3, lambda limit, args: partitions.jacobi_series(limit, args.convention)),
-        _PREFIXES,
-    ),
-    "hecke-rogers": (
-        _series_cases(2, lambda limit, args: partitions.hecke_rogers_series(limit)),
-        _PREFIXES,
-    ),
+    **{name: (_series_cases(*entry), _PREFIXES) for name, entry in _SERIES.items()},
 }
 
 VERIFY_LABELS = tuple(_CHECKS)
@@ -335,6 +325,8 @@ def _run_check(label, args) -> dict:
 def _cmd_verify(args) -> int:
     if not args.all and args.theorem is None:
         raise ValueError("verify needs --theorem LABEL or --all")
+    if min(args.smax, args.nmax) < 1:
+        raise ValueError(f"--smax and --nmax must be >= 1, got {args.smax}, {args.nmax}")
     labels = VERIFY_LABELS if args.all else [args.theorem]
     checks = [_run_check(label, args) for label in labels]
     passed = all(c["passed"] for c in checks)
@@ -400,8 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("series", help="classical series terms")
-    p.add_argument("--name", choices=("pentagonal", "jacobi", "hecke-rogers"),
-                   required=True)
+    p.add_argument("--name", choices=tuple(_SERIES), required=True)
     p.add_argument("--max", type=int, required=True, help="largest exponent")
     p.add_argument("--convention", choices=partitions.JACOBI_CONVENTIONS,
                    default="standard")

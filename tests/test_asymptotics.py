@@ -1,8 +1,11 @@
 """Maximum-coefficient growth, the unit-circle sup, and the Sudler constant."""
 
+import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproduct.asymptotics import (
     K_REFERENCE,
@@ -15,7 +18,7 @@ from qproduct.asymptotics import (
     sudler_constant,
     unit_circle_max,
 )
-from qproduct.poly import ProductSpec, expand_restricted_product
+from qproduct.poly import ProductSpec, expand_restricted_product, expansion
 
 
 def test_max_abs_examples():
@@ -44,6 +47,24 @@ def test_unit_circle_examples():
     assert unit_circle_max(spec) >= max_abs_coefficient(spec)
     with pytest.raises(ValueError):
         unit_circle_max(spec, samples=7)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.builds(ProductSpec, st.integers(1, 3), st.integers(1, 12)))
+def test_unit_circle_refinement_against_cmath_sampling(spec):
+    coeffs = expansion(spec).coeffs
+    circle = unit_circle_max(spec)
+    assert max(map(abs, coeffs)) <= circle <= sum(map(abs, coeffs))
+    # an independent, four times finer sampling never beats the refined sup
+    points = 16 * spec.degree
+    sampled = 0.0
+    for k in range(points):
+        z = cmath.exp(2j * math.pi * k / points)
+        value = 1
+        for a in range(1, spec.n + 1):
+            value *= (1 - z**a) ** spec.s
+        sampled = max(sampled, abs(value))
+    assert circle >= sampled * (1 - 1e-9)
 
 
 def test_golden_section_max():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qproduct import characters
 from qproduct.errors import PrecisionError
 from qproduct.characters import (
     _CHAR_FACTOR,
@@ -223,6 +224,19 @@ def test_tau_progression_values():
         tau_progression(2, 3)
 
 
+def test_tau_cross_check_follows_the_oracle_cap(monkeypatch):
+    spec = ProductSpec(24, 5)
+    # one below degree + 1: the oracle cannot run, the closed form is returned
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", str(24 * 5 * 6 // 2))
+    for j in range(6):
+        assert tau_progression(5, j) == closed_form_main1(spec, j)
+    # at degree + 1 the oracle runs and a disagreeing value is reported
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", str(spec.degree + 1))
+    monkeypatch.setattr(characters, "progression_sum_oracle", lambda spec, query: 7)
+    with pytest.raises(ArithmeticError, match="tau progression mismatch"):
+        tau_progression(5, 0)
+
+
 def test_precision_escalation_beyond_double():
     # magnitudes around 2^96 force the mpmath ladder; result stays exact
     spec = ProductSpec(24, 4)
@@ -350,7 +364,7 @@ def test_skipped_rungs_fail_the_estimate(spec, modulus, trig):
     full = MP_PRECISION_LADDER
     if sn <= _FAST_SN_LIMIT:
         full = (FAST_PRECISION_BITS, *full)
-    ladder = _ladder(factor, lead, spec, modulus)
+    ladder = _ladder(spec, modulus)
     skipped = full[: len(full) - len(ladder)]
     assert skipped + ladder == full
     for prec in skipped:

@@ -190,6 +190,11 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "residue" in err
     code, _, _ = run(capsys, "verify", "--smax", "1", "--nmax", "2")  # no theorem, no --all
     assert code == 2
+    # empty bounds would report a vacuous pass
+    code, _, err = run(capsys, "verify", "--theorem", "main00", "--smax", "2", "--nmax", "0")
+    assert code == 2 and "--nmax" in err
+    assert run(capsys, "verify", "--all", "--smax", "0")[0] == 2
+    assert run(capsys, "series", "--name", "bogus", "--max", "5")[0] == 2
 
 
 def test_resource_error_exit_3(capsys, monkeypatch):
