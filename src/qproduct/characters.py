@@ -12,8 +12,8 @@ integers: one evaluator sums either form in floating point, from a vectorized
 double-precision pass up through mpmath precisions, until the result sits
 within 0.25 of an integer with the error estimate also below 0.25.  Both
 routes climb one ladder: they skip the double pass past s*n = 900 and start
-at the first precision whose estimate, predicted once per (s, n, N) from
-|T(psi_r(1))|, can pass.  Each root of unity is evaluated once per product
+at the first precision whose estimate, computed once per (s, n, N) from
+|T(psi_r(1))|, passes.  Each root of unity is evaluated once per product
 table and precision.  The estimate is first-order, not a proven bound, so the
 integer is not certified; it matches the exact oracle on every input tested.
 
@@ -38,6 +38,7 @@ from .poly import (
     ProductSpec,
     ProgressionQuery,
     _require_int,
+    _require_under_cap,
     expansion,
     progression_row,
     progression_sum_oracle,
@@ -48,6 +49,7 @@ FAST_PRECISION_BITS = 53
 MP_PRECISION_LADDER = (64, 128, 256, 512, 1024)
 # Both routes skip the double rung past this s*n (2^(s*n) overflows): one ladder.
 _FAST_SN_LIMIT = 900
+_LOG2_THRESHOLD = math.log2(RESIDUAL_THRESHOLD)
 
 
 @dataclass(frozen=True)
@@ -164,26 +166,25 @@ def _table_mp(factor, s: int, n: int, modulus: int, prec: int) -> tuple:
 
 
 @lru_cache(maxsize=16384)
-def _ladder(spec: ProductSpec, modulus: int) -> tuple:
-    """The shared rungs of _rounded_sum, from the first whose estimate can pass.
+def _ladder(spec: ProductSpec, modulus: int) -> tuple[tuple, float]:
+    """The rungs of _rounded_sum and log2_err: its estimate is 2^(log2_err - prec).
 
-    Both routes drop the double rung past s*n = 900 and have |lead * table_r|
-    = prod_a |2 sin(pi*a*r/N)|^s, so one prediction per (s, n, N) serves both:
-    log2(scale) from s * sum_a log2|2 sin(pi*a*r/N)|, which cannot overflow.
-    Rungs whose estimate is then at least 0.25 * 2^4 are skipped, never the
-    last.  Factors with a*r = 0 (mod N) are exactly zero in mpmath and masked
-    to zero here, where numpy's sin(pi) is 1.2e-16.
+    The error estimate scale * 2^(1-prec) * (4sn+16), scale = |lead|/N *
+    sum_r w_r |table_r|, is computed only here: log2|lead * table_r| is
+    s * sum_a log2|2 sin(pi*a*r/N)| in both routes, which cannot overflow or
+    underflow, and which agrees with both tables at every rung because each
+    factor with a*r = 0 (mod N) is exactly zero in all four of them.  Rungs
+    start at the first whose estimate is below 0.25, or at the last.
     """
     s, n, sn = spec.s, spec.n, spec.s * spec.n
     ladder = (FAST_PRECISION_BITS,) * (sn <= _FAST_SN_LIMIT) + MP_PRECISION_LADDER
     k = np.outer(np.arange(1, n + 1), np.arange(1, modulus // 2 + 1))
     with np.errstate(divide="ignore"):
-        magnitudes = np.where(k % modulus, abs(2 * _SIN.f64(k, modulus)), 0)
-        logs = s * np.log2(magnitudes).sum(axis=0)
+        logs = s * np.log2(abs(2 * _SIN.f64(k, modulus))).sum(axis=0)
     logs[-1] -= modulus % 2 == 0  # so that logs + 1 adds log2 w_r, 0 for r = N/2
     log2_err = np.logaddexp2.reduce(logs + 1) - math.log2(modulus) + 1 + math.log2(4 * sn + 16)
-    limit = math.log2(RESIDUAL_THRESHOLD * 2**4)  # 4 bits of margin
-    return ladder[sum(log2_err - prec >= limit for prec in ladder[:-1]) :]
+    skip = sum(log2_err - prec >= _LOG2_THRESHOLD for prec in ladder[:-1])
+    return ladder[skip:], float(log2_err)
 
 
 def _rounded_sum(
@@ -191,53 +192,45 @@ def _rounded_sum(
 ) -> tuple[int, int]:
     """Round lead/N * sum_r w_r * Re(phase(x*r) * table_r) to an integer.
 
-    ``scale`` = |lead|/N * sum_r w_r |table_r| bounds the magnitude handled by
-    the sum and feeds the first-order error estimate
-    scale * 2^(1-prec) * (4sn+16); the estimate is not a proven bound.
-    Accepts the nearest integer once both the estimate and the rounding
-    residual fall below 0.25.  Otherwise climbs from 53 bits (numpy, tried only
-    when s*n <= 900) through the mpmath rungs 64, 128, ..., failing after 1024,
-    but starts at the first rung whose predicted estimate can pass (_ladder).
-    Each root of unity is evaluated once per product table and rung.
+    Accepts the nearest integer once both the error estimate of _ladder (not
+    a proven bound) and the rounding residual fall below 0.25.  Otherwise
+    climbs from 53 bits (numpy, tried only when s*n <= 900) through the mpmath
+    rungs 64, 128, ..., failing after 1024, starting where the estimate passes.
+    Each root of unity is evaluated once per product table and rung.  Raises
+    ResourceLimitError, before any table is built or looked up, if the
+    n * floor(N/2) table entries exceed the cap.
     """
+    _require_under_cap("character table", spec.n * (modulus // 2), "entries")
     if modulus == 1:
         return 0, 0  # no nontrivial characters; the sum is empty
-    s, n, sn = spec.s, spec.n, spec.s * spec.n
     weights = [2] * (modulus // 2)
     if modulus % 2 == 0:
         weights[-1] = 1
-    residual = None
-    for prec in _ladder(spec, modulus):
+    ladder, log2_err = _ladder(spec, modulus)
+    for prec in ladder:
         if prec == FAST_PRECISION_BITS:
             # Plain floats end to end: no mpmath context on the double rung.
-            table = _table_f64(factor.f64, s, n, modulus)
+            table = _table_f64(factor.f64, spec.s, spec.n, modulus)
             phases = phase.f64(x * np.arange(1, len(weights) + 1), modulus)
             w = np.array(weights, dtype=float)
             with np.errstate(over="ignore", invalid="ignore"):
                 value = lead * float((w * (phases * table).real).sum()) / modulus
-                scale = abs(lead) * float((w * np.abs(table)).sum()) / modulus
-            if not (math.isfinite(value) and math.isfinite(scale)):
+            if not math.isfinite(value):
                 continue
-            err = scale * 2.0 ** (1 - prec) * (4 * sn + 16)
             nearest = round(value)
             residual = abs(value - nearest)
         else:
             with mpmath.workprec(prec):
-                table = _table_mp(factor.mp, s, n, modulus, prec)
-                total = scale = mpmath.mpf(0)
+                table = _table_mp(factor.mp, spec.s, spec.n, modulus, prec)
+                total = mpmath.mpf(0)
                 for r, (w, t) in enumerate(zip(weights, table), 1):
                     total += w * (phase.mp(x * r, modulus) * t).real
-                    scale += w * abs(t)
                 value = lead * total / modulus
-                scale = abs(lead) * scale / modulus
-            if not (mpmath.isfinite(value) and mpmath.isfinite(scale)):
-                continue
-            # Round and test at working precision, not the global default.
+            # Round at working precision, not the global default.
             with mpmath.workprec(prec + 16):
-                err = scale * 2.0 ** (1 - prec) * (4 * sn + 16)
                 nearest = int(mpmath.nint(value))
                 residual = abs(value - nearest)
-        if err < RESIDUAL_THRESHOLD and residual < RESIDUAL_THRESHOLD:
+        if log2_err - prec < _LOG2_THRESHOLD and residual < RESIDUAL_THRESHOLD:
             return nearest, prec
     raise PrecisionError(
         f"certified rounding failed at 1024 bits (last residual {float(residual):.3g})"
@@ -279,9 +272,11 @@ def character_sum_main00(spec: ProductSpec, query: ProgressionQuery) -> int:
 # trigonometric route (label main0000)
 
 # sin(pi*k/N) is the factor (k = a*r) and, for odd s*n, the phase
-# (k = (2j - degree)*r); cos(pi*k/N) is the phase for even s*n.
+# (k = (2j - degree)*r); cos(pi*k/N) is the phase for even s*n.  The numpy
+# sine is set to exactly zero at k = 0 (mod N), as mpmath's sinpi is, where
+# np.sin(pi) is 1.2e-16: a stray factor times 2^(s*n) is not small.
 _SIN = _Form(
-    lambda k, N: np.sin(np.pi * (k % (2 * N)) / N),
+    lambda k, N: np.where(k % N, np.sin(np.pi * (k % (2 * N)) / N), 0.0),
     lambda k, N: mpmath.sinpi(mpmath.mpf(k % (2 * N)) / N),
 )
 _COS = _Form(

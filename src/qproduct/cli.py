@@ -265,8 +265,9 @@ def _series_cases(s, series):
     """Prefix of series(limit, args) against the expansion of the s-th power."""
     def cases(args):
         limit = args.max if args.max is not None else args.nmax
-        dense = partitions.series_to_coeffs(series(limit, args), limit)
+        terms = series(limit, args)
         product = poly.expansion(poly.ProductSpec(s, max(limit, 1)))
+        dense = partitions.series_to_coeffs(terms, limit)
         for e in range(limit + 1):
             yield {"exponent": e}, product[e], dense[e]
     return cases

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ResourceLimitError
 from .poly import (
     IntPolynomial,
     ProductSpec,
-    coefficient_cap,
+    _require_under_cap,
     expand_restricted_product,
     expansion,
 )
@@ -59,8 +58,7 @@ def parity_counts(s: int, n: int, j: int) -> ParityCounts:
     spec = ProductSpec(s, n)
     if not 0 <= j <= spec.degree:
         raise ValueError(f"j must lie in [0, {spec.degree}], got {j}")
-    if j + 1 > coefficient_cap():
-        raise ResourceLimitError(f"parity DP over {j + 1} sums exceeds the cap")
+    _require_under_cap("parity DP", j + 1, "sums")
     weights = [math.comb(s, m) for m in range(s + 1)]
     even = [0] * (j + 1)
     odd = [0] * (j + 1)
@@ -197,8 +195,7 @@ def hecke_rogers_series(max_exponent: int) -> list[SeriesTerm]:
     """
     if max_exponent < 0:
         raise ValueError("max_exponent must be >= 0")
-    if max_exponent + 1 > coefficient_cap():
-        raise ResourceLimitError("series length exceeds the coefficient cap")
+    _require_under_cap("series", max_exponent + 1)
     acc: dict[int, int] = {}
     outer = 0
     while outer * outer <= 8 * max_exponent:
@@ -212,6 +209,7 @@ def hecke_rogers_series(max_exponent: int) -> list[SeriesTerm]:
 
 def series_to_coeffs(terms: list[SeriesTerm], max_exponent: int) -> list[int]:
     """Densify a sparse term list into a coefficient vector up to max_exponent."""
+    _require_under_cap("series", max_exponent + 1)
     out = [0] * (max_exponent + 1)
     for term in terms:
         if term.exponent <= max_exponent:

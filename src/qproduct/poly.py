@@ -38,6 +38,13 @@ def coefficient_cap() -> int:
     return cap
 
 
+def _require_under_cap(what: str, size: int, unit: str = "coefficients", limit=None) -> None:
+    """Raise ResourceLimitError before allocating size entries above the cap."""
+    limit = coefficient_cap() if limit is None else limit
+    if size > limit:
+        raise ResourceLimitError(f"{what} needs {size} {unit}, cap is {limit}")
+
+
 def _require_int(name: str, value) -> None:
     # bool is an int subclass; a float would make the degree a float.
     if isinstance(value, bool) or not isinstance(value, int):
@@ -156,6 +163,7 @@ class IntPolynomial:
             rows = rows[1:]
         pairs = [(int(e), int(c)) for e, c in (row.split(",") for row in rows)]
         size = max((e for e, _ in pairs), default=0) + 1
+        _require_under_cap("CSV", size)
         coeffs = [0] * size
         seen = set()
         for e, c in pairs:
@@ -243,8 +251,7 @@ def _expansion_pass(s, n_values, limit):
     if not targets or targets[0] < 1:
         raise ValueError("n values must be positive")
     top = ProductSpec(s, targets[-1]).degree
-    if top + 1 > limit:
-        raise ResourceLimitError(f"expansion needs {top + 1} coefficients, cap is {limit}")
+    _require_under_cap("expansion", top + 1, limit=limit)
     arr = np.zeros(top // 2 + 1, dtype=object)
     arr[0] = 1
     end = 1
@@ -297,10 +304,8 @@ def progression_row(spec: ProductSpec, modulus: int) -> IntPolynomial:
     """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    size, limit = spec.degree + 1, coefficient_cap()
-    if size > limit:  # the expansion's cap and text, checked before the cache
-        raise ResourceLimitError(f"expansion needs {size} coefficients, cap is {limit}")
-    return _cyclic_row(spec.s, spec.n, min(modulus, size))
+    _require_under_cap("expansion", spec.degree + 1)  # before the cache
+    return _cyclic_row(spec.s, spec.n, min(modulus, spec.degree + 1))
 
 
 def progression_sum_oracle(spec: ProductSpec, query: ProgressionQuery) -> int:

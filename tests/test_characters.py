@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qproduct import characters
-from qproduct.errors import PrecisionError
+from qproduct.errors import PrecisionError, ResourceLimitError
 from qproduct.characters import (
     _CHAR_FACTOR,
     _FAST_SN_LIMIT,
@@ -364,8 +364,58 @@ def test_skipped_rungs_fail_the_estimate(spec, modulus, trig):
     full = MP_PRECISION_LADDER
     if sn <= _FAST_SN_LIMIT:
         full = (FAST_PRECISION_BITS, *full)
-    ladder = _ladder(spec, modulus)
+    ladder = _ladder(spec, modulus)[0]
     skipped = full[: len(full) - len(ladder)]
     assert skipped + ladder == full
     for prec in skipped:
         assert not _estimate(factor, lead, spec, modulus, prec) < RESIDUAL_THRESHOLD
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(
+    st.builds(ProductSpec, st.integers(1, 40), st.integers(1, 45)),
+    st.integers(2, 130),
+    st.booleans(),
+)
+@example(ProductSpec(6, 379), 207, True)  # every r has a factor that is exactly zero
+@example(ProductSpec(1, 733), 400, True)  # the same, on the double rung
+def test_ladder_estimate_is_the_table_estimate(spec, modulus, trig):
+    # the one estimate of _ladder equals the one the tables give at each rung
+    sn = spec.s * spec.n
+    factor, lead = (_SIN, (-1) ** ((sn + 1) // 2) * 2**sn) if trig else (_CHAR_FACTOR, 1)
+    rungs = [prec for prec in MP_PRECISION_LADDER if prec <= 256]
+    if sn <= _FAST_SN_LIMIT:
+        rungs.insert(0, FAST_PRECISION_BITS)
+    log2_err = _ladder(spec, modulus)[1]
+    for prec in rungs:
+        expected = mpmath.mpf(_estimate(factor, lead, spec, modulus, prec))
+        if not mpmath.isfinite(expected):
+            continue
+        got = mpmath.mpf(2) ** (log2_err - prec)
+        if expected <= 1e-6:
+            assert abs(got - expected) <= 1e-6
+        else:
+            assert abs(got - expected) <= 1e-9 * expected
+
+
+@pytest.mark.parametrize("spec, modulus", [(ProductSpec(1, 733), 400), (ProductSpec(2, 371), 201)])
+def test_sine_factor_is_exactly_zero_on_the_double_rung(spec, modulus):
+    # every r has a factor sin(pi*a*r/N) with a*r = N (mod 2N); a stray 1.2e-16
+    # there, times 2^(s*n), would be rounded into a wrong integer
+    row = oracle_row(spec, modulus)
+    for j in range(modulus):
+        query = ProgressionQuery(modulus, j)
+        assert trig_form_with_precision(spec, query) == (row[j], 53)
+
+
+def test_character_tables_follow_the_coefficient_cap(monkeypatch):
+    # n * floor(N/2) table entries are checked against the cap before any table
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", "100")
+    spec = ProductSpec(1, 2)
+    for route in (character_sum_with_precision, trig_form_with_precision):
+        for modulus in (100, 101):
+            query = ProgressionQuery(modulus, 0)
+            assert route(spec, query) == (progression_sum_oracle(spec, query), 53)
+        for modulus in (102, 1000):
+            with pytest.raises(ResourceLimitError, match="cap is 100"):
+                route(spec, ProgressionQuery(modulus, 0))

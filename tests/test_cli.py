@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qproduct import asymptotics
+from qproduct import asymptotics, partitions
 from qproduct.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,6 +202,23 @@ def test_resource_error_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "expand", "--s", "1", "--n", "10")
     assert code == 3
     assert "cap" in err
+
+
+def test_verify_series_checks_the_cap_before_densifying(capsys, monkeypatch):
+    # a --max above the cap exits 3 without building the dense series vector
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", "1000")
+    densified = []
+    monkeypatch.setattr(
+        partitions, "series_to_coeffs", lambda terms, limit: densified.append(limit) or []
+    )
+    for name, message in [
+        ("pentagonal", "expansion needs"),
+        ("jacobi", "expansion needs"),
+        ("hecke-rogers", "series needs 30000001 coefficients, cap is 1000"),
+    ]:
+        code, _, err = run(capsys, "verify", "--theorem", name, "--max", "30000000")
+        assert code == 3 and message in err
+    assert densified == []
 
 
 def test_precision_error_exit_3(capsys):

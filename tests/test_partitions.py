@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from qproduct.errors import ResourceLimitError
 from qproduct.partitions import (
     cauchy_identity_check,
     hecke_rogers_series,
@@ -103,6 +104,13 @@ def test_jacobi_series_conventions():
 def test_hecke_rogers_series():
     coeffs = series_to_coeffs(hecke_rogers_series(2), 2)
     assert coeffs == [1, -2, -1]
+
+
+def test_series_to_coeffs_checks_the_cap_before_allocating(monkeypatch):
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", "8")
+    assert series_to_coeffs(hecke_rogers_series(2), 7) == [1, -2, -1, 0, 0, 0, 0, 0]
+    with pytest.raises(ResourceLimitError, match="series needs 30000001 coefficients"):
+        series_to_coeffs([], 30_000_000)
 
 
 def test_series_exponents_strictly_increase():

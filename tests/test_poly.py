@@ -194,6 +194,14 @@ def test_csv_rejects_negative_and_repeated_exponents():
         IntPolynomial.from_csv("exponent,coefficient\n0,1\n1,2\n1,3\n")
 
 
+def test_csv_size_follows_the_coefficient_cap(monkeypatch):
+    # the dense vector is sized by the largest exponent: checked before allocating
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", "8")
+    assert IntPolynomial.from_csv("7,1\n").coeffs == [0] * 7 + [1]
+    with pytest.raises(ResourceLimitError, match="cap is 8"):
+        IntPolynomial.from_csv("exponent,coefficient\n0,1\n8,1\n")
+
+
 def test_polynomial_degree_and_zero():
     assert IntPolynomial([0, 0, 0]).degree == -1
     assert IntPolynomial([]).is_zero()
