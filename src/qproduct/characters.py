@@ -147,7 +147,9 @@ class _Form(NamedTuple):
     mp: Callable
 
 
-@lru_cache(maxsize=16384)
+# A table holds N/2 complex doubles, so the cache keeps only a few: the two
+# routes of one (s, n, N) alternate, and no caller reuses a table further back.
+@lru_cache(maxsize=4)
 def _table_f64(factor, s: int, n: int, modulus: int) -> np.ndarray:
     k = np.outer(np.arange(1, n + 1), np.arange(1, modulus // 2 + 1))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):

@@ -6,4 +6,4 @@ class ResourceLimitError(RuntimeError):
 
 
 class PrecisionError(ArithmeticError):
-    """Certified integer rounding failed at the maximum working precision."""
+    """Integer rounding failed its error estimate at the maximum working precision."""

@@ -38,9 +38,9 @@ def coefficient_cap() -> int:
     return cap
 
 
-def _require_under_cap(what: str, size: int, unit: str = "coefficients", limit=None) -> None:
+def _require_under_cap(what: str, size: int, unit: str = "coefficients") -> None:
     """Raise ResourceLimitError before allocating size entries above the cap."""
-    limit = coefficient_cap() if limit is None else limit
+    limit = coefficient_cap()
     if size > limit:
         raise ResourceLimitError(f"{what} needs {size} {unit}, cap is {limit}")
 
@@ -223,16 +223,13 @@ def multiply_by_binomial_power(p: IntPolynomial, a: int, s: int) -> IntPolynomia
     return IntPolynomial(_apply_binomial_factor(arr, a, s).tolist())
 
 
-def expand_restricted_product(
-    spec: ProductSpec, *, cap: int | None = None
-) -> IntPolynomial:
+def expand_restricted_product(spec: ProductSpec) -> IntPolynomial:
     """Exact coefficients of prod_{a=1..n} (1 - q^a)^s.
 
     Fails fast with ResourceLimitError when the vector would exceed the
     coefficient cap.
     """
-    limit = cap if cap is not None else coefficient_cap()
-    return next(_expansion_pass(spec.s, [spec.n], limit))[1]
+    return next(iter_expansions(spec.s, [spec.n]))[1]
 
 
 def iter_expansions(s: int, n_values: Sequence[int]) -> Iterator[tuple[int, IntPolynomial]]:
@@ -241,17 +238,13 @@ def iter_expansions(s: int, n_values: Sequence[int]) -> Iterator[tuple[int, IntP
     One incremental pass; snapshots are taken at the requested n values in
     increasing order.  The largest snapshot is cap-checked up front.
     """
-    yield from _expansion_pass(s, n_values, coefficient_cap())
-
-
-def _expansion_pass(s, n_values, limit):
     # Z[q]/(q^L) with L = top//2 + 1: t_0 up to t_{degree//2}, and the reversal
-    # law t[deg-i] = (-1)^(sn) t[i] for the rest.  Cap-checked up front.
+    # law t[deg-i] = (-1)^(sn) t[i] for the rest.
     targets = sorted(set(n_values))
     if not targets or targets[0] < 1:
         raise ValueError("n values must be positive")
     top = ProductSpec(s, targets[-1]).degree
-    _require_under_cap("expansion", top + 1, limit=limit)
+    _require_under_cap("expansion", top + 1)
     arr = np.zeros(top // 2 + 1, dtype=object)
     arr[0] = 1
     end = 1
@@ -265,14 +258,15 @@ def _expansion_pass(s, n_values, limit):
 
 
 @lru_cache(maxsize=64)
-def _expansion_cached(s: int, n: int, cap: int) -> IntPolynomial:
+def _expansion_cached(s: int, n: int) -> IntPolynomial:
     # Shared read-only expansions; callers must not mutate .coeffs.
-    return expand_restricted_product(ProductSpec(s, n), cap=cap)
+    return expand_restricted_product(ProductSpec(s, n))
 
 
 def expansion(spec: ProductSpec) -> IntPolynomial:
     """Cached expansion of a product spec (treat the result as read-only)."""
-    return _expansion_cached(spec.s, spec.n, coefficient_cap())
+    _require_under_cap("expansion", spec.degree + 1)  # before the cache
+    return _expansion_cached(spec.s, spec.n)
 
 
 def cyclic_reduce(p: IntPolynomial, modulus: int) -> IntPolynomial:

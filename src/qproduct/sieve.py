@@ -9,18 +9,24 @@ that into a coefficient extraction:
 
     F_psi(distinct k-tuples) = (-1)^k * k! * [u^k] prod_{a=1..n} (1 - u*psi(a)).
 
-Every identity here is verified at desk scale against direct enumeration.
+In Z[q]/(q^N - 1) the row C_k = (-1)^k [u^k] prod_a (1 - u*q^a) counts the
+k-subsets of {1..n} by element sum mod N, so F_psi(k) = k! * C_k(psi) and the
+subset-count identity compares two integers.  Every identity here is verified
+at desk scale against direct enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+
+import numpy as np
 
 from .characters import CharacterIndex
 from .errors import ResourceLimitError
+from .poly import _require_under_cap
 
 MAX_CYCLE_K = 26
 MAX_BRUTEFORCE_TUPLES = 500_000
@@ -176,26 +182,35 @@ def f_psi_distinct_bruteforce(n: int, k: int, psi: CharacterIndex) -> complex:
     return total
 
 
-def f_psi_sieve(n: int, k: int, psi: CharacterIndex) -> complex:
-    """Sieve evaluation of the distinct-tuple character sum.
+def _subset_sums(n: int, modulus: int) -> np.ndarray:
+    """Row k, entry m: k-subsets of {1..n} with sum = m (mod N); read-only."""
+    width = min(modulus, n * (n + 1) // 2 + 1)  # no sum wraps past the degree
+    _require_under_cap("subset-sum table", (n + 1) * width, "entries")  # before the cache
+    return _subset_table(n, width)
 
-    Computes (-1)^k * k! * [u^k] prod_{a=1..n} (1 - u*psi(a)) by expanding the
-    degree-n product in u with complex coefficients.  For the trivial
-    character this reduces to the ordered-tuple count n!/(n-k)!.
+
+@functools.lru_cache(maxsize=64)
+def _subset_table(n: int, width: int) -> np.ndarray:
+    table = np.zeros((n + 1, width), dtype=object)
+    table[0, 0] = 1
+    for a in range(1, n + 1):
+        # C_k += q^a C_{k-1}; np.roll copies, so the rows read are the old ones.
+        table[1 : a + 1] += np.roll(table[:a], a, axis=1)
+    table.setflags(write=False)  # shared by every caller of the cache
+    return table
+
+
+def f_psi_sieve(n: int, k: int, psi: CharacterIndex) -> complex:
+    """Sieve evaluation of the distinct-tuple character sum: k! * C_k(psi).
+
+    For the trivial character this is the ordered-tuple count n!/(n-k)!.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     if k > n:
         return 0j
-    coeffs = [1 + 0j]
-    for a in range(1, n + 1):
-        root = psi.value(a)
-        nxt = [0j] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c
-            nxt[i + 1] -= c * root
-        coeffs = nxt
-    return (-1) ** k * math.factorial(k) * coeffs[k]
+    row = _subset_sums(n, psi.modulus)[k]
+    return math.factorial(k) * sum(c * psi.value(m) for m, c in enumerate(row) if c)
 
 
 def f_psi_via_cycle_index(n: int, k: int, psi: CharacterIndex) -> complex:
@@ -221,19 +236,15 @@ def prop_lws_check(n: int, k: int, psi: CharacterIndex) -> bool:
     return abs(total - f_psi_distinct_bruteforce(n, k, psi)) < COMPLEX_TOLERANCE
 
 
-@lru_cache(maxsize=512)
-def _subsets_by_size(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.combinations(range(1, n + 1), k))
-
-
 def restricted_count_identity_check(s, n, modulus, j, k_tuple) -> bool:
     """Subset-tuple counts match the character-sum expression (the sieve's input).
 
     Left side: k_1!...k_s! times the number of tuples (V_1..V_s) of subsets of
     {1..n} with |V_i| = k_i and total element sum = j (mod N), counted by
     direct enumeration.  Right side: (1/N) * [prod_i n!/(n-k_i)!
-    + sum over nontrivial psi of psi^{-1}(j) * prod_i F_psi(distinct tuples)].
-    True when they agree to 1e-9 (the left side is an exact integer).
+    + sum over nontrivial psi of psi^{-1}(j) * prod_i F_psi(distinct tuples)],
+    by Fourier inversion on Z_N k_1!...k_s! times the entries = j (mod N) of
+    C_{k_1}...C_{k_s}.  True when they are equal; k_1!...k_s! cancels.
     """
     k_tuple = tuple(k_tuple)
     if s != len(k_tuple):
@@ -248,19 +259,9 @@ def restricted_count_identity_check(s, n, modulus, j, k_tuple) -> bool:
             f"{total_tuples} subset tuples exceed cap {MAX_SUBSET_TUPLES}"
         )
 
-    count = 0
-    pools = [_subsets_by_size(n, k) for k in k_tuple]
-    for combo in itertools.product(*pools):
-        if sum(map(sum, combo)) % modulus == j % modulus:
-            count += 1
-    lhs = count * math.prod(math.factorial(k) for k in k_tuple)
+    pools = [map(sum, itertools.combinations(range(1, n + 1), k)) for k in k_tuple]
+    count = sum(sum(sums) % modulus == j % modulus for sums in itertools.product(*pools))
 
-    rhs = complex(math.prod(ordered_tuple_count(n, k) for k in k_tuple))
-    for r in range(1, modulus):
-        psi = CharacterIndex(r, modulus)
-        term = psi.value(-j)
-        for k in k_tuple:
-            term *= f_psi_sieve(n, k, psi) if k >= 1 else 1
-        rhs += term
-    rhs /= modulus
-    return abs(lhs - rhs) < COMPLEX_TOLERANCE
+    rows = [_subset_sums(n, modulus)[k] for k in k_tuple]
+    product = functools.reduce(np.convolve, rows, np.ones(1, dtype=object))
+    return count == sum(product[j % modulus :: modulus])

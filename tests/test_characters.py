@@ -1,6 +1,10 @@
 """Character-sum and trigonometric formulas against the exact oracle."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -419,3 +423,24 @@ def test_character_tables_follow_the_coefficient_cap(monkeypatch):
         for modulus in (102, 1000):
             with pytest.raises(ResourceLimitError, match="cap is 100"):
                 route(spec, ProgressionQuery(modulus, 0))
+
+
+def test_table_cache_memory_stays_bounded():
+    # each table at N near 10^6 holds 5*10^5 complex doubles (8 MB); a cache
+    # bounded only by count keeps all twelve, and the traced peak passes 110 MB.
+    # tracemalloc, since a child's ru_maxrss can inherit this process's peak.
+    script = (
+        "import tracemalloc\n"
+        "from qproduct.characters import character_sum_with_precision\n"
+        "from qproduct.poly import ProductSpec, ProgressionQuery\n"
+        "tracemalloc.start()\n"
+        "for i in range(12):\n"
+        "    character_sum_with_precision(ProductSpec(1, 1), ProgressionQuery(10**6 + i, 0))\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert int(proc.stdout) < 88 * 2**20

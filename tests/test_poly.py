@@ -145,11 +145,6 @@ def test_iter_expansions_snapshots():
     assert snaps[3] == [1, -1, -1, 0, 1, 1, -1]
 
 
-def test_resource_cap():
-    with pytest.raises(ResourceLimitError):
-        expand_restricted_product(ProductSpec(1, 10), cap=10)
-
-
 def test_resource_cap_env(monkeypatch):
     monkeypatch.setenv("QPRODUCT_COEFF_CAP", "8")
     with pytest.raises(ResourceLimitError):

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qproduct.characters import CharacterIndex
 from qproduct.errors import ResourceLimitError
@@ -159,3 +161,29 @@ def test_restricted_count_grid():
     for k1 in range(4):
         for k2 in range(4):
             assert restricted_count_identity_check(2, 3, 4, 1, (k1, k2))
+
+
+@st.composite
+def _restricted_counts(draw):
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 16))
+    modulus = draw(st.integers(1, 12))
+    k_tuple = tuple(draw(st.integers(0, n)) for _ in range(s))
+    # keeps the enumerated left side small for a fast suite
+    assume(math.prod(math.comb(n, k) for k in k_tuple) <= 20_000)
+    return s, n, modulus, draw(st.integers(0, modulus - 1)), k_tuple
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_restricted_counts())
+@example((1, 16, 7, 3, (8,)))  # both sides 74,108,160: too large for 1e-9 in floats
+@example((3, 9, 12, 11, (8, 6, 8)))  # a float character sum misses this by 2e-3
+def test_restricted_count_identity_is_exact(case):
+    s, n, modulus, j, k_tuple = case
+    assert restricted_count_identity_check(s, n, modulus, j, k_tuple)
+
+
+def test_sieve_table_width_is_bounded_at_a_huge_modulus():
+    # 16 columns (the sums 0..15), not 10^7
+    psi = CharacterIndex(1, 10**7)
+    assert abs(f_psi_sieve(5, 2, psi) - f_psi_distinct_bruteforce(5, 2, psi)) < TOL
