@@ -9,10 +9,10 @@ that into a coefficient extraction:
 
     F_psi(distinct k-tuples) = (-1)^k * k! * [u^k] prod_{a=1..n} (1 - u*psi(a)).
 
-In Z[q]/(q^N - 1) the row C_k = (-1)^k [u^k] prod_a (1 - u*q^a) counts the
-k-subsets of {1..n} by element sum mod N, so F_psi(k) = k! * C_k(psi) and the
-subset-count identity compares two integers.  Every identity here is verified
-at desk scale against direct enumeration.
+f_psi_sieve expands that product in complex doubles.  The subset-count
+identity uses the rows C_k = (-1)^k [u^k] prod_a (1 - u*q^a) of Z[q]/(q^N - 1),
+which count the k-subsets of {1..n} by sum mod N, so it compares integers.
+Every identity here is verified at desk scale against direct enumeration.
 """
 
 from __future__ import annotations
@@ -182,35 +182,39 @@ def f_psi_distinct_bruteforce(n: int, k: int, psi: CharacterIndex) -> complex:
     return total
 
 
-def _subset_sums(n: int, modulus: int) -> np.ndarray:
-    """Row k, entry m: k-subsets of {1..n} with sum = m (mod N); read-only."""
-    width = min(modulus, n * (n + 1) // 2 + 1)  # no sum wraps past the degree
-    _require_under_cap("subset-sum table", (n + 1) * width, "entries")  # before the cache
-    return _subset_table(n, width)
-
-
-@functools.lru_cache(maxsize=64)
-def _subset_table(n: int, width: int) -> np.ndarray:
-    table = np.zeros((n + 1, width), dtype=object)
+def _subset_sums(n: int, modulus: int, k_max: int) -> np.ndarray:
+    """Row k <= k_max, entry m: k-subsets of {1..n} with sum = m (mod N)."""
+    top = k_max * (2 * n - k_max + 1) // 2  # the k_max largest elements' sum
+    width = min(modulus, top + 1)  # no sum wraps past it
+    _require_under_cap("subset-sum table", (k_max + 1) * width, "entries")
+    table = np.zeros((k_max + 1, width), dtype=object)
     table[0, 0] = 1
     for a in range(1, n + 1):
         # C_k += q^a C_{k-1}; np.roll copies, so the rows read are the old ones.
-        table[1 : a + 1] += np.roll(table[:a], a, axis=1)
-    table.setflags(write=False)  # shared by every caller of the cache
+        table[1:] += np.roll(table[:-1], a, axis=1)
     return table
 
 
 def f_psi_sieve(n: int, k: int, psi: CharacterIndex) -> complex:
-    """Sieve evaluation of the distinct-tuple character sum: k! * C_k(psi).
+    """Sieve evaluation of the distinct-tuple character sum.
 
-    For the trivial character this is the ordered-tuple count n!/(n-k)!.
+    Computes (-1)^k * k! * [u^k] prod_{a=1..n} (1 - u*psi(a)) by expanding the
+    degree-n product in u with complex coefficients.  For the trivial
+    character this reduces to the ordered-tuple count n!/(n-k)!.
     """
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
     if k > n:
         return 0j
-    row = _subset_sums(n, psi.modulus)[k]
-    return math.factorial(k) * sum(c * psi.value(m) for m, c in enumerate(row) if c)
+    coeffs = [1 + 0j]
+    for a in range(1, n + 1):
+        root = psi.value(a)
+        nxt = [0j] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i] += c
+            nxt[i + 1] -= c * root
+        coeffs = nxt
+    return (-1) ** k * math.factorial(k) * coeffs[k]
 
 
 def f_psi_via_cycle_index(n: int, k: int, psi: CharacterIndex) -> complex:
@@ -239,12 +243,11 @@ def prop_lws_check(n: int, k: int, psi: CharacterIndex) -> bool:
 def restricted_count_identity_check(s, n, modulus, j, k_tuple) -> bool:
     """Subset-tuple counts match the character-sum expression (the sieve's input).
 
-    Left side: k_1!...k_s! times the number of tuples (V_1..V_s) of subsets of
-    {1..n} with |V_i| = k_i and total element sum = j (mod N), counted by
-    direct enumeration.  Right side: (1/N) * [prod_i n!/(n-k_i)!
-    + sum over nontrivial psi of psi^{-1}(j) * prod_i F_psi(distinct tuples)],
-    by Fourier inversion on Z_N k_1!...k_s! times the entries = j (mod N) of
-    C_{k_1}...C_{k_s}.  True when they are equal; k_1!...k_s! cancels.
+    Left side: the number of tuples (V_1..V_s) of subsets of {1..n} with
+    |V_i| = k_i and total element sum = j (mod N), by direct enumeration.
+    Right side: (1/N) * sum over psi of psi^{-1}(j) * prod_i F_psi(k_i)/k_i!,
+    which by Fourier inversion on Z_N is the sum of the entries = j (mod N)
+    of C_{k_1}...C_{k_s}.  True when the two integers are equal.
     """
     k_tuple = tuple(k_tuple)
     if s != len(k_tuple):
@@ -262,6 +265,6 @@ def restricted_count_identity_check(s, n, modulus, j, k_tuple) -> bool:
     pools = [map(sum, itertools.combinations(range(1, n + 1), k)) for k in k_tuple]
     count = sum(sum(sums) % modulus == j % modulus for sums in itertools.product(*pools))
 
-    rows = [_subset_sums(n, modulus)[k] for k in k_tuple]
+    rows = _subset_sums(n, modulus, max(k_tuple, default=0))[list(k_tuple)]
     product = functools.reduce(np.convolve, rows, np.ones(1, dtype=object))
     return count == sum(product[j % modulus :: modulus])

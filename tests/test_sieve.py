@@ -1,5 +1,6 @@
 """Cycle-type combinatorics and the distinct-tuple sieve, against enumeration."""
 
+import cmath
 import math
 
 import pytest
@@ -183,7 +184,21 @@ def test_restricted_count_identity_is_exact(case):
     assert restricted_count_identity_check(s, n, modulus, j, k_tuple)
 
 
-def test_sieve_table_width_is_bounded_at_a_huge_modulus():
-    # 16 columns (the sums 0..15), not 10^7
+def test_sieve_at_a_huge_modulus():
     psi = CharacterIndex(1, 10**7)
     assert abs(f_psi_sieve(5, 2, psi) - f_psi_distinct_bruteforce(5, 2, psi)) < TOL
+
+
+def test_sieve_keeps_relative_accuracy_at_large_n():
+    # prod_{a<=100} (1 - u*w^a) = (1 - u^3)^33 * (1 - u*w), w = e^(2 pi i/3),
+    # so F = 49! * C(33, 16) * w, while a 49-subset count by sum is ~1e28.
+    omega = cmath.exp(2j * cmath.pi / 3)
+    exact = math.factorial(49) * math.comb(33, 16) * omega
+    assert abs(f_psi_sieve(100, 49, CharacterIndex(1, 3)) - exact) < 1e-9 * abs(exact)
+
+
+def test_subset_table_is_bounded_by_the_largest_sum_and_k():
+    # 13 columns (sums 0..12) at N = 10^7; 3 rows of 1,200 columns at n = 600,
+    # where all 601 rows of 10^5 columns would pass the coefficient cap
+    assert restricted_count_identity_check(2, 5, 10**7, 3, (2, 3))
+    assert restricted_count_identity_check(1, 600, 10**5, 7, (2,))
