@@ -62,7 +62,7 @@ print("  moduli below n wipe out every residue class:",
       small_modulus_vanishing(ProductSpec(1, 6), 5))
 
 print("\nDivisor and midpoint corollaries (odd s, odd n):")
-print("  t_D, t_(deg-D) for D = deg:", divisor_coefficients_div1(ProductSpec(1, 5), 15))
+print("  t_D, t_(deg-D) for D = deg:", divisor_coefficients_div1(ProductSpec(1, 5)))
 print("  middle coefficient, n = 3 (mod 4):", midpoint_zero_peak1(ProductSpec(1, 7)))
 
 print("\nThe 24th power feeds the tau coefficients; mod n+1 their sums close up:")

@@ -57,7 +57,6 @@ from .poly import (
     ProgressionQuery,
     cyclic_reduce,
     expand_restricted_product,
-    multiply_by_binomial_power,
     poly_mul,
     progression_sum_oracle,
     reverse_negate_check,
@@ -107,7 +106,6 @@ __all__ = [
     "max_abs_profile",
     "midpoint_zero_peak1",
     "mobius",
-    "multiply_by_binomial_power",
     "parity_counts",
     "pentagonal_series",
     "poly_mul",

@@ -95,19 +95,15 @@ def _log_abs_on_circle(spec: ProductSpec, thetas: np.ndarray) -> np.ndarray:
         return spec.s * np.log(2.0 * np.abs(np.sin(np.outer(a, thetas) / 2.0))).sum(axis=0)
 
 
-def unit_circle_max(spec: ProductSpec, samples: int | None = None) -> float:
+def unit_circle_max(spec: ProductSpec) -> float:
     """Max of |T(e^(i*theta))| over a theta grid with golden-section refinement.
 
     Works through the factored form in log space (never the coefficients), so
     it cannot overflow for large n.  The returned value is a lower bound on
-    the true maximum that the refinement makes sharp.  The grid must have at
-    least 4 * degree samples.
+    the true maximum that the refinement makes sharp.  The grid has
+    4 * degree samples.
     """
-    min_samples = 4 * spec.degree
-    if samples is None:
-        samples = min_samples
-    if samples < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {samples}")
+    samples = 4 * spec.degree
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     step = max(1, 4_000_000 // spec.n)  # chunk the (n x samples) grid to bound memory
     log_total = np.concatenate(
@@ -143,26 +139,21 @@ def log_sin_integral(w: float, *, epsabs: float = 1e-12) -> tuple[float, float]:
     return head + tail, head_err + tail_err
 
 
-def sudler_constant(
-    rel_tol: float = 1e-6, bracket: tuple[float, float] = (0.5 + 1e-6, 1.0 - 1e-6)
-) -> SudlerConstant:
+def sudler_constant(rel_tol: float = 1e-6) -> SudlerConstant:
     """The growth constant K = log 2 + max_w (1/w) integral_0^w log sin(pi t) dt.
 
-    Bracketed golden-section maximization over w in (1/2, 1); the integrand's
-    log singularity at 0 is handled by log_sin_integral.  Raises if the
-    requested relative tolerance cannot be certified.
+    Golden-section maximization over w in [0.5 + 1e-6, 1 - 1e-6]; the
+    integrand's log singularity at 0 is handled by log_sin_integral.  Raises
+    if the requested relative tolerance cannot be certified.
     """
     if not 0.0 < rel_tol <= 1e-3:
         raise ValueError("rel_tol must lie in (0, 1e-3]")
-    lo, hi = bracket
-    if not 0.5 <= lo < hi <= 1.0:
-        raise ValueError("bracket must lie inside [0.5, 1.0]")
     epsabs = rel_tol * 1e-4
 
     def g(w: float) -> float:
         return math.log(2.0) + log_sin_integral(w, epsabs=epsabs)[0] / w
 
-    w_best, g_best = golden_section_max(g, lo, hi, tol=1e-10)
+    w_best, g_best = golden_section_max(g, 0.5 + 1e-6, 1.0 - 1e-6, tol=1e-10)
     _, quad_err = log_sin_integral(w_best, epsabs=epsabs)
     total_err = quad_err / w_best + 1e-12
     if total_err > rel_tol * abs(g_best):
@@ -198,21 +189,19 @@ def asymptotic_fit(s: int, n_min: int, n_max: int, step: int = 1) -> AsymptoticF
     )
 
 
-def sandwich_inequality_check(
-    spec: ProductSpec, samples: int | None = None, rel_slack: float = 1e-6
-) -> bool:
+def sandwich_inequality_check(spec: ProductSpec) -> bool:
     """max|t_j| <= sup-circle <= sum|t_j| <= (degree+1) * max|t_j|.
 
-    The middle quantity is the grid-plus-refinement estimate, a lower bound on
-    the true circle maximum, so the first comparison allows the relative
-    slack; the outer comparisons are exact integer against float and integer
-    against integer.
+    The middle quantity is unit_circle_max, a lower bound on the true circle
+    maximum, so the first comparison allows a relative slack of 1e-6; the
+    outer comparisons are exact integer against float and integer against
+    integer.
     """
     m = max_abs_coefficient(spec)
-    circle = unit_circle_max(spec, samples)
+    circle = unit_circle_max(spec)
     abs_sum = sum(abs(c) for c in expansion(spec).coeffs)
     return (
-        m <= circle * (1.0 + rel_slack)
+        m <= circle * (1.0 + 1e-6)
         and circle <= abs_sum * (1.0 + 1e-12)
         and abs_sum <= (spec.degree + 1) * m
     )

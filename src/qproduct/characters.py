@@ -13,9 +13,10 @@ double-precision pass up through mpmath precisions, until the result sits
 within 0.25 of an integer with the error estimate also below 0.25.  Both
 routes climb one ladder: they skip the double pass past s*n = 900 and start
 at the first precision whose estimate, computed once per (s, n, N) from
-|T(psi_r(1))|, passes.  Each root of unity is evaluated once per product
-table and precision.  The estimate is first-order, not a proven bound, so the
-integer is not certified; it matches the exact oracle on every input tested.
+|T(psi_r(1))|, passes.  An mpmath table evaluates each root of unity once per
+precision, the double table one numpy factor per (a, r).  The estimate is
+first-order, not a proven bound, so the integer is not certified; it matches
+the exact oracle on every input tested.
 
 Special moduli give closed forms with no floating point at all: N = degree+1
 isolates one coefficient per residue, and N = n+1 collapses to a totient
@@ -147,13 +148,22 @@ class _Form(NamedTuple):
     mp: Callable
 
 
+def _column_blocks(n: int, modulus: int):
+    # k = a*r (a <= n, r <= N/2) in column blocks of at most 2^20 entries, which
+    # bounds a table's temporaries; reductions are per column, so values match.
+    a = np.arange(1, n + 1)[:, None]
+    step = max(1, 2**20 // n)
+    for lo in range(1, modulus // 2 + 1, step):
+        yield a * np.arange(lo, min(lo + step, modulus // 2 + 1))
+
+
 # A table holds N/2 complex doubles, so the cache keeps only a few: the two
 # routes of one (s, n, N) alternate, and no caller reuses a table further back.
 @lru_cache(maxsize=4)
 def _table_f64(factor, s: int, n: int, modulus: int) -> np.ndarray:
-    k = np.outer(np.arange(1, n + 1), np.arange(1, modulus // 2 + 1))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return factor(k, modulus).prod(axis=0) ** s
+        columns = [factor(k, modulus).prod(axis=0) for k in _column_blocks(n, modulus)]
+        return np.concatenate(columns) ** s
 
 
 @lru_cache(maxsize=32)
@@ -180,9 +190,11 @@ def _ladder(spec: ProductSpec, modulus: int) -> tuple[tuple, float]:
     """
     s, n, sn = spec.s, spec.n, spec.s * spec.n
     ladder = (FAST_PRECISION_BITS,) * (sn <= _FAST_SN_LIMIT) + MP_PRECISION_LADDER
-    k = np.outer(np.arange(1, n + 1), np.arange(1, modulus // 2 + 1))
+    blocks = _column_blocks(n, modulus)
     with np.errstate(divide="ignore"):
-        logs = s * np.log2(abs(2 * _SIN.f64(k, modulus))).sum(axis=0)
+        logs = s * np.concatenate(
+            [np.log2(abs(2 * _SIN.f64(k, modulus))).sum(axis=0) for k in blocks]
+        )
     logs[-1] -= modulus % 2 == 0  # so that logs + 1 adds log2 w_r, 0 for r = N/2
     log2_err = np.logaddexp2.reduce(logs + 1) - math.log2(modulus) + 1 + math.log2(4 * sn + 16)
     skip = sum(log2_err - prec >= _LOG2_THRESHOLD for prec in ladder[:-1])
@@ -198,9 +210,9 @@ def _rounded_sum(
     a proven bound) and the rounding residual fall below 0.25.  Otherwise
     climbs from 53 bits (numpy, tried only when s*n <= 900) through the mpmath
     rungs 64, 128, ..., failing after 1024, starting where the estimate passes.
-    Each root of unity is evaluated once per product table and rung.  Raises
-    ResourceLimitError, before any table is built or looked up, if the
-    n * floor(N/2) table entries exceed the cap.
+    An mpmath table evaluates each root of unity once per rung, the double
+    table one numpy factor per (a, r).  Raises ResourceLimitError, before any
+    table is built or looked up, if the n * floor(N/2) entries exceed the cap.
     """
     _require_under_cap("character table", spec.n * (modulus // 2), "entries")
     if modulus == 1:
@@ -373,26 +385,20 @@ def small_modulus_vanishing(spec: ProductSpec, modulus: int) -> bool:
     return progression_row(spec, modulus).is_zero()
 
 
-def divisor_coefficients_div1(spec: ProductSpec, divisor: int) -> tuple[int, int]:
-    """(t_D, t_{degree-D}) for a divisor D of the degree with degree/2 < D <= degree.
+def divisor_coefficients_div1(spec: ProductSpec) -> tuple[int, int]:
+    """(t_D, t_{degree-D}) for D = degree, the only divisor in (degree/2, degree].
 
     Label div1; requires s and n odd, and the pair is verified against the
-    exact expansion to equal (-1, +1).  Note the constraints admit only
-    D = degree itself: any proper divisor is at most degree/2.  The stated
-    wider range is still accepted and validated.
+    exact expansion to equal (-1, +1).  Every proper divisor of the degree is
+    at most degree/2, so the paper's range admits D = degree alone.
     """
     if spec.s % 2 == 0 or spec.n % 2 == 0:
         raise ValueError("divisor-coefficient identity requires s and n odd")
-    big_n = spec.degree
-    if divisor < 1 or big_n % divisor != 0:
-        raise ValueError(f"{divisor} does not divide the degree {big_n}")
-    if not big_n / 2 < divisor <= big_n:
-        raise ValueError(f"divisor must lie in ({big_n / 2}, {big_n}], got {divisor}")
     p = expansion(spec)
-    pair = (p[divisor], p[big_n - divisor])
+    pair = (p[spec.degree], p[0])
     if pair != (-1, 1):
         raise ArithmeticError(
-            f"divisor coefficients violated for s={spec.s} n={spec.n} D={divisor}: {pair}"
+            f"divisor coefficients violated for s={spec.s} n={spec.n} D={spec.degree}: {pair}"
         )
     return pair
 

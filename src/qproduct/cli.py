@@ -286,7 +286,7 @@ _CHECKS = {
     "div1": (
         _raising_cases(
             lambda spec: spec.s % 2 and spec.n % 2,
-            lambda spec: characters.divisor_coefficients_div1(spec, spec.degree),
+            characters.divisor_coefficients_div1,
         ),
         (None, "error"),
     ),

@@ -39,7 +39,7 @@ from qproduct.partitions import (
 from qproduct.poly import (
     ProductSpec,
     ProgressionQuery,
-    _apply_binomial_factor,
+    _multiply_in_place,
     cyclic_reduce,
     expansion,
 )
@@ -131,9 +131,9 @@ def test_criterion_05_divisor_and_midpoint():
 
     For n = 1 the expansion is the binomial row, so the targeted coefficients
     come straight from the binomial theorem.  For n >= 3 one exact product per
-    n is walked upward in s by multiplying (1-q^a)^2 factors, which is the
-    expansion itself at each odd s; per-operation entry points are exercised
-    on the smaller specs.
+    n, in one zero-padded array, is walked upward in s by multiplying by
+    (1-q^a)^2 in place, which is the expansion itself at each odd s;
+    per-operation entry points are exercised on the smaller specs.
     """
     ok = True
     pairs = 0
@@ -148,10 +148,11 @@ def test_criterion_05_divisor_and_midpoint():
     for n in range(3, 141, 2):
         if n * (n + 1) // 2 > DIV1_PEAK1_DEGREE_CAP:
             break
-        arr = np.zeros(1, dtype=object)
+        arr = np.zeros(DIV1_PEAK1_DEGREE_CAP + 1, dtype=object)
         arr[0] = 1
+        end = 1
         for a in range(1, n + 1):
-            arr = _apply_binomial_factor(arr, a, 1)
+            end = _multiply_in_place(arr, a, 1, end)
         s = 1
         while s * n * (n + 1) // 2 <= DIV1_PEAK1_DEGREE_CAP:
             degree = s * n * (n + 1) // 2
@@ -166,14 +167,14 @@ def test_criterion_05_divisor_and_midpoint():
             pairs += 1
             if (s + 2) * n * (n + 1) // 2 <= DIV1_PEAK1_DEGREE_CAP:
                 for a in range(1, n + 1):
-                    arr = _apply_binomial_factor(arr, a, 2)
+                    end = _multiply_in_place(arr, a, 2, end)
             s += 2
     # operation entry points on the smaller admissible specs
     for s, n in itertools.product(range(1, 8, 2), range(1, 16, 2)):
         spec = ProductSpec(s, n)
         if spec.degree > 600:
             continue
-        if divisor_coefficients_div1(spec, spec.degree) != (-1, 1):
+        if divisor_coefficients_div1(spec) != (-1, 1):
             ok = False
         if n % 4 == 3 and midpoint_zero_peak1(spec) != 0:
             ok = False

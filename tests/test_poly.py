@@ -2,8 +2,12 @@
 
 import functools
 import itertools
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,11 +17,10 @@ from qproduct.poly import (
     IntPolynomial,
     ProductSpec,
     ProgressionQuery,
-    binomial_power,
+    _multiply_in_place,
     cyclic_reduce,
     expand_restricted_product,
     iter_expansions,
-    multiply_by_binomial_power,
     poly_mul,
     progression_row,
     progression_sum_oracle,
@@ -75,20 +78,23 @@ def test_factor_order_invariance():
         assert out == expected
 
 
-def test_binomial_power_matches_comb():
-    for s in (0, 1, 2, 7, 64, 65, 200):
-        assert list(binomial_power(s)) == [
-            (-1) ** k * math.comb(s, k) for k in range(s + 1)
-        ]
-
-
-def test_multiply_by_binomial_power():
-    p = IntPolynomial([1, -1])
-    q = multiply_by_binomial_power(p, 2, 1)
-    assert q.coeffs == [1, -1, -1, 1]
-    stepped = multiply_by_binomial_power(expand_restricted_product(ProductSpec(1, 3)), 2, 2)
-    direct = poly_mul(reference_expand(1, 3), poly_mul([1, 0, -1], [1, 0, -1]))
-    assert stepped.coeffs == direct
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=12),
+    st.integers(1, 15),
+    st.integers(0, 4),
+)
+@example([1, -1], 2, 1)
+@example([3, 0, -7], 5, 2)  # a >= len(p)
+def test_multiply_in_place_matches_schoolbook(coeffs, a, s):
+    # (1 - q^a)^s by the in-place kernel on a zero-padded array, against poly_mul
+    arr = np.array(coeffs + [0] * (a * s), dtype=object)
+    end = _multiply_in_place(arr, a, s, len(coeffs))
+    expected = coeffs
+    for _ in range(s):
+        expected = poly_mul(expected, [1] + [0] * (a - 1) + [-1])
+    assert arr.tolist() == expected
+    assert end == len(coeffs) + a * s
 
 
 def test_cyclic_reduce_examples():
@@ -290,6 +296,25 @@ def test_oracle_huge_modulus_keeps_row_short():
     assert progression_sum_oracle(spec, ProgressionQuery(10**7, 10**7 - 1)) == 0
     with pytest.raises(ValueError):
         progression_row(spec, 0)
+
+
+def test_row_cache_memory_stays_bounded():
+    # forty distinct rows of about 1,800 ints each: a cache of 256 rows keeps
+    # all of them (1.9 MB traced), one of 8 rows keeps the last few (0.4 MB)
+    script = (
+        "import tracemalloc\n"
+        "from qproduct.poly import ProductSpec, progression_row\n"
+        "tracemalloc.start()\n"
+        "for i in range(40):\n"
+        "    progression_row(ProductSpec(1, 60), 1791 + i)\n"
+        "print(tracemalloc.get_traced_memory()[0])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert int(proc.stdout) < 2**20
 
 
 @pytest.mark.parametrize("s,n,modulus", [(3, 10, 13), (3, 10, 166), (1, 5, 16)])
