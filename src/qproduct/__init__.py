@@ -57,7 +57,6 @@ from .poly import (
     ProgressionQuery,
     cyclic_reduce,
     expand_restricted_product,
-    poly_mul,
     progression_sum_oracle,
     reverse_negate_check,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "mobius",
     "parity_counts",
     "pentagonal_series",
-    "poly_mul",
     "progression_sum_oracle",
     "prop_lws_check",
     "q_binomial",

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import ProductSpec, expansion, iter_expansions
+from .poly import ProductSpec, _require_under_cap, expansion, iter_expansions
 
 K_REFERENCE = 0.19861
 
@@ -68,14 +68,22 @@ def max_abs_profile(s: int, n_values: Sequence[int]) -> dict[int, int]:
 def golden_section_max(
     f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
 ) -> tuple[float, float]:
-    """Deterministic golden-section maximization of a unimodal f on [lo, hi]."""
+    """Deterministic golden-section maximization of a unimodal f on [lo, hi].
+
+    Stops once the bracket is at most tol wide, or once a step leaves it no
+    narrower, as it does at float spacing.
+    """
     if not hi > lo:
         raise ValueError("need hi > lo")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -101,9 +109,10 @@ def unit_circle_max(spec: ProductSpec) -> float:
     Works through the factored form in log space (never the coefficients), so
     it cannot overflow for large n.  The returned value is a lower bound on
     the true maximum that the refinement makes sharp.  The grid has
-    4 * degree samples.
+    4 * degree samples, which must be within the coefficient cap.
     """
     samples = 4 * spec.degree
+    _require_under_cap("circle grid", samples, "samples")
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     step = max(1, 4_000_000 // spec.n)  # chunk the (n x samples) grid to bound memory
     log_total = np.concatenate(

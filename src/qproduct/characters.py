@@ -217,16 +217,15 @@ def _rounded_sum(
     _require_under_cap("character table", spec.n * (modulus // 2), "entries")
     if modulus == 1:
         return 0, 0  # no nontrivial characters; the sum is empty
-    weights = [2] * (modulus // 2)
-    if modulus % 2 == 0:
-        weights[-1] = 1
     ladder, log2_err = _ladder(spec, modulus)
     for prec in ladder:
         if prec == FAST_PRECISION_BITS:
             # Plain floats end to end: no mpmath context on the double rung.
             table = _table_f64(factor.f64, spec.s, spec.n, modulus)
-            phases = phase.f64(x * np.arange(1, len(weights) + 1), modulus)
-            w = np.array(weights, dtype=float)
+            phases = phase.f64(x * np.arange(1, modulus // 2 + 1), modulus)
+            w = np.full(modulus // 2, 2.0)  # the pair weights: 2, or 1 at r = N/2
+            if modulus % 2 == 0:
+                w[-1] = 1.0
             with np.errstate(over="ignore", invalid="ignore"):
                 value = lead * float((w * (phases * table).real).sum()) / modulus
             if not math.isfinite(value):
@@ -237,8 +236,8 @@ def _rounded_sum(
             with mpmath.workprec(prec):
                 table = _table_mp(factor.mp, spec.s, spec.n, modulus, prec)
                 total = mpmath.mpf(0)
-                for r, (w, t) in enumerate(zip(weights, table), 1):
-                    total += w * (phase.mp(x * r, modulus) * t).real
+                for r, t in enumerate(table, 1):
+                    total += (2 - (2 * r == modulus)) * (phase.mp(x * r, modulus) * t).real
                 value = lead * total / modulus
             # Round at working precision, not the global default.
             with mpmath.workprec(prec + 16):

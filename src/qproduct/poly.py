@@ -175,20 +175,6 @@ class IntPolynomial:
         return cls(coeffs)
 
 
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Schoolbook product of two coefficient lists (the baseline contract)."""
-    if not a or not b:
-        return [0]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def _multiply_in_place(arr: np.ndarray, a: int, s: int, end: int) -> int:
     # arr *= (1 - q^a)^s in Z[q]/(q^len(arr)), arr[end:] zero on entry; returns
     # the new end, one past the degree.  numpy buffers overlapping operands.
@@ -249,6 +235,7 @@ def cyclic_reduce(p: IntPolynomial, modulus: int) -> IntPolynomial:
     """Reduce p mod q^N - 1: entry j is the sum of coeffs over exponents = j mod N."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
+    _require_under_cap("cyclic reduction", modulus)
     out = [0] * modulus
     for i, c in enumerate(p.coeffs):
         if c:

@@ -90,8 +90,9 @@ def z_polynomial(k: int, t) -> complex:
     """Z_k(t_1..t_k) = sum over cycle types of N(c) * prod t_i^ci.
 
     Evaluated by the O(k^2) recurrence from the exponential generating
-    function, Z_k = sum_i (k-1)!/(k-i)! * t_i * Z_{k-i}; the explicit
-    partition sum is kept separately as a test oracle.
+    function, Z_k = sum_i (k-1)!/(k-i)! * t_i * Z_{k-i}; the tests check it
+    against the explicit partition sum, z_polynomial_partition_sum in
+    tests/oracles.py.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -103,23 +104,6 @@ def z_polynomial(k: int, t) -> complex:
         fact = math.factorial(m - 1)
         z.append(sum(fact // math.factorial(m - i) * t[i - 1] * z[m - i] for i in range(1, m + 1)))
     return z[k]
-
-
-def z_polynomial_partition_sum(k: int, t) -> complex:
-    """Partition-sum oracle for z_polynomial (direct sum over cycle types)."""
-    if k == 0:
-        return 1
-    t = list(t)
-    if len(t) < k:
-        raise ValueError(f"need {k} arguments t_1..t_k, got {len(t)}")
-    total = 0
-    for ct in enumerate_cycle_types(k):
-        term = ct.permutation_count
-        for i, c in enumerate(ct.counts, start=1):
-            if c:
-                term = term * t[i - 1] ** c
-        total += term
-    return total
 
 
 def egf_consistency_check(k_max: int, t) -> bool:
@@ -153,13 +137,6 @@ def egf_consistency_check(k_max: int, t) -> bool:
 def character_power_sums(n: int, k: int, psi: CharacterIndex) -> list[complex]:
     """Power sums s_i = sum_{a=1..n} psi(a)^i for i = 1..k; each |s_i| <= n."""
     return [sum(psi.value(i * a) for a in range(1, n + 1)) for i in range(1, k + 1)]
-
-
-def ordered_tuple_count(n: int, k: int) -> int:
-    """Number n(n-1)...(n-k+1) of ordered k-tuples with distinct coordinates."""
-    if k > n:
-        return 0
-    return math.factorial(n) // math.factorial(n - k)
 
 
 def f_psi_distinct_bruteforce(n: int, k: int, psi: CharacterIndex) -> complex:

@@ -2,6 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are pinned here; the exact checks compare Python ints.
+
+Criteria 01-04 and 11 build no grid of their own: they run the checks of
+``qproduct verify`` (the table ``cli._CHECKS``) at their bounds, through
+verify_check, and pin each check's case count, so each theorem's grid is
+written in one place.
 """
 
 import itertools
@@ -9,16 +14,13 @@ import math
 
 import numpy as np
 
+from qproduct import cli
 from qproduct.characters import (
-    character_sum_main00,
     closed_form_main1,
     divisor_coefficients_div1,
     midpoint_zero_peak1,
     ramanujan_sum,
-    single_coefficient_main0,
-    small_modulus_vanishing,
     tau_progression,
-    trig_form_main0000,
     euler_phi,
 )
 from qproduct.asymptotics import (
@@ -34,13 +36,10 @@ from qproduct.partitions import (
     pentagonal_series,
     series_to_coeffs,
     stable_prefix_check,
-    truncated_tau,
 )
 from qproduct.poly import (
     ProductSpec,
-    ProgressionQuery,
     _multiply_in_place,
-    cyclic_reduce,
     expansion,
 )
 from qproduct.sieve import (
@@ -60,68 +59,50 @@ def report(num: int, name: str, ok: bool) -> None:
     assert ok, f"acceptance criterion {num} ({name}) failed"
 
 
+def verify_check(label: str, smax: int, nmax: int, cases: int) -> bool:
+    """Run `qproduct verify --theorem label` at these bounds, as the CLI does.
+
+    The grid is the one in cli._CHECKS; True when the check passes over
+    exactly `cases` cases, so a grid that shrinks fails here too.
+    """
+    argv = ["verify", "--theorem", label, "--smax", str(smax), "--nmax", str(nmax)]
+    result = cli._run_check(label, cli.build_parser().parse_args(argv))
+    print(
+        f"[acceptance]   {label}: {result['cases']} cases (expected {cases}), "
+        f"{result['failure_count']} failed"
+    )
+    return result["passed"] and result["cases"] == cases
+
+
 def test_criterion_01_formula_oracle_equivalence():
     """character_sum_main00 and trig_form_main0000 equal the oracle exactly
-    for 1 <= s <= 3, 1 <= n <= 10, 1 <= N <= degree+1, 0 <= j < N."""
-    ok = True
-    for s, n in itertools.product(range(1, 4), range(1, 11)):
-        spec = ProductSpec(s, n)
-        p = expansion(spec)
-        for modulus in range(1, spec.degree + 2):
-            row = cyclic_reduce(p, modulus).coeffs
-            for j in range(modulus):
-                query = ProgressionQuery(modulus, j)
-                if character_sum_main00(spec, query) != row[j]:
-                    ok = False
-                if trig_form_main0000(spec, query) != row[j]:
-                    ok = False
+    for 1 <= s <= 3, 1 <= n <= 10, 1 <= N <= degree+1, 0 <= j < N
+    (verify main00 and main0000)."""
+    ok = all([verify_check("main00", 3, 10, 57_604), verify_check("main0000", 3, 10, 57_604)])
     report(1, "formula-oracle equivalence", ok)
 
 
 def test_criterion_02_coefficient_recovery():
-    """single_coefficient_main0 recovers every coefficient for s <= 2, n <= 8."""
-    ok = True
-    for s, n in itertools.product(range(1, 3), range(1, 9)):
-        spec = ProductSpec(s, n)
-        p = expansion(spec)
-        for j in range(spec.degree + 1):
-            if single_coefficient_main0(spec, j) != p[j]:
-                ok = False
-    report(2, "coefficient recovery", ok)
+    """single_coefficient_main0 recovers every coefficient for s <= 2, n <= 8
+    (verify main0)."""
+    report(2, "coefficient recovery", verify_check("main0", 2, 8, 376))
 
 
 def test_criterion_03_closed_form():
-    """closed_form_main1 equals the oracle for s <= 4, n <= 30, all j,
-    including the phi(n+1) case at j = 0."""
-    ok = True
+    """closed_form_main1 equals the oracle for s <= 4, n <= 30, all j (verify
+    main1), including the phi(n+1) case at j = 0."""
+    ok = verify_check("main1", 4, 30, 1_980)
     for s, n in itertools.product(range(1, 5), range(1, 31)):
-        spec = ProductSpec(s, n)
-        row = cyclic_reduce(expansion(spec), n + 1).coeffs
-        for j in range(n + 1):
-            if closed_form_main1(spec, j) != row[j]:
-                ok = False
-        if closed_form_main1(spec, 0) != (n + 1) ** (s - 1) * euler_phi(n + 1):
+        if closed_form_main1(ProductSpec(s, n), 0) != (n + 1) ** (s - 1) * euler_phi(n + 1):
             ok = False
     report(3, "closed form at modulus n+1", ok)
 
 
 def test_criterion_04_vanishing_suites():
-    """Zero progression sums: 2j = degree (mod N) with odd s*n for n <= 15,
-    and every residue at moduli N <= n-1 for n <= 12."""
-    ok = True
-    for s, n in itertools.product((1, 3), range(1, 16, 2)):
-        spec = ProductSpec(s, n)
-        p = expansion(spec)
-        for modulus in range(1, spec.degree + 2):
-            row = cyclic_reduce(p, modulus).coeffs
-            for j in range(modulus):
-                if (2 * j - spec.degree) % modulus == 0 and row[j] != 0:
-                    ok = False
-    for s, n in itertools.product(range(1, 4), range(2, 13)):
-        spec = ProductSpec(s, n)
-        for modulus in range(1, n):
-            if not small_modulus_vanishing(spec, modulus):
-                ok = False
+    """Zero progression sums: 2j = degree (mod N) with odd s*n for n <= 15
+    (verify main000), and every residue at moduli N <= n-1 for n <= 12
+    (verify main00cor)."""
+    ok = all([verify_check("main000", 3, 15, 1_636), verify_check("main00cor", 3, 12, 198)])
     report(4, "vanishing suites", ok)
 
 
@@ -263,19 +244,16 @@ def test_criterion_10_asymptotic_slope():
 
 
 def test_criterion_11_tau_progressions():
-    """Progression sums of the 24th-power truncation mod n+1 equal the closed
-    form for n <= 6, with the printed (n+1)^23 * {phi(n+1), -1} shape holding
-    whenever n+1 is prime.  Exact big-integer comparison."""
-    ok = True
+    """Progression sums of the 24th-power truncation mod n+1 equal the oracle
+    for n <= 6 (verify tau), and the closed form (n+1)^23 * c_{n+1}(j), with the printed
+    (n+1)^23 * {phi(n+1), -1} shape holding whenever n+1 is prime.  Exact
+    big-integer comparison."""
+    ok = verify_check("tau", 1, 6, 27)
     for n in range(1, 7):
-        row = cyclic_reduce(truncated_tau(n), n + 1).coeffs
         base = (n + 1) ** 23
-        for j in range(n + 1):
-            value = tau_progression(n, j)
-            if value != row[j]:
-                ok = False
-            if value != base * ramanujan_sum(n + 1, j):
-                ok = False
+        row = [tau_progression(n, j) for j in range(n + 1)]
+        if row != [base * ramanujan_sum(n + 1, j) for j in range(n + 1)]:
+            ok = False
         if row[0] != base * euler_phi(n + 1):
             ok = False
         if n + 1 in (2, 3, 5, 7):

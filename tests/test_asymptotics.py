@@ -2,11 +2,16 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qproduct.errors import ResourceLimitError
 from qproduct.asymptotics import (
     K_REFERENCE,
     asymptotic_fit,
@@ -68,6 +73,38 @@ def test_unit_circle_refinement_against_cmath_sampling(spec):
 def test_golden_section_max():
     x, fx = golden_section_max(lambda t: -(t - 0.3) ** 2 + 1.0, 0.0, 1.0, tol=1e-12)
     assert abs(x - 0.3) < 1e-6 and abs(fx - 1.0) < 1e-12
+
+
+def test_golden_section_stops_at_float_spacing():
+    # a bracket at float spacing stops shrinking, so a tolerance below it
+    # looped forever; a tolerance that is not positive is rejected
+    script = (
+        "from qproduct.asymptotics import golden_section_max\n"
+        "f = lambda t: -(t - 0.3) ** 2\n"
+        "for tol in (0.0, -1.0, float('nan')):\n"
+        "    try:\n"
+        "        golden_section_max(f, 0.0, 1.0, tol=tol)\n"
+        "    except ValueError:\n"
+        "        print('rejected')\n"
+        "print(repr(golden_section_max(f, 0.0, 1.0, tol=1e-300)[0]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True, timeout=10,
+    )
+    *rejected, x = proc.stdout.split()
+    assert rejected == ["rejected"] * 3 and abs(float(x) - 0.3) < 1e-6
+
+
+def test_circle_grid_follows_the_coefficient_cap(monkeypatch):
+    # 4 * degree samples: 220 at (1, 10), checked before the grid is built
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", "220")
+    assert unit_circle_max(ProductSpec(1, 10)) >= max_abs_coefficient(ProductSpec(1, 10))
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", "100")
+    with pytest.raises(ResourceLimitError) as caught:
+        unit_circle_max(ProductSpec(1, 10))
+    assert str(caught.value) == "circle grid needs 220 samples, cap is 100"
 
 
 def test_log_sin_integral_known_values():

@@ -463,3 +463,29 @@ def test_table_temporaries_stay_bounded():
     )
     peaks = [int(line) for line in proc.stdout.split()]
     assert len(peaks) == 2 and max(peaks) < 100 * 2**20
+
+
+def test_double_rung_query_arrays_stay_bounded():
+    # one query at (1, 2, N = 2*10^6) with its table already cached: the pair
+    # weights as a list of 10^6 ints beside the phase temporaries peaked at
+    # 53.4 MiB (character) and 30.6 MiB (trig) traced; a float array built
+    # after the phases peaks at 45.8 and 23.0 MiB
+    script = (
+        "import tracemalloc\n"
+        "from qproduct.characters import character_sum_with_precision, trig_form_with_precision\n"
+        "from qproduct.poly import ProductSpec, ProgressionQuery\n"
+        "for route in (character_sum_with_precision, trig_form_with_precision):\n"
+        "    route(ProductSpec(1, 2), ProgressionQuery(2_000_000, 0))\n"
+        "    tracemalloc.start()\n"
+        "    print(route(ProductSpec(1, 2), ProgressionQuery(2_000_000, 1))[1])\n"
+        "    print(tracemalloc.get_traced_memory()[1])\n"
+        "    tracemalloc.stop()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    char_bits, char_peak, trig_bits, trig_peak = map(int, proc.stdout.split())
+    assert char_bits == trig_bits == FAST_PRECISION_BITS
+    assert char_peak < 50 * 2**20 and trig_peak < 27 * 2**20

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from oracles import poly_mul
 from qproduct.errors import ResourceLimitError
 from qproduct.partitions import (
     cauchy_identity_check,
@@ -18,7 +19,7 @@ from qproduct.partitions import (
     stable_prefix_check,
     truncated_tau,
 )
-from qproduct.poly import ProductSpec, expand_restricted_product, poly_mul
+from qproduct.poly import ProductSpec, expand_restricted_product
 
 
 def test_parity_examples():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import poly_mul
 from qproduct.errors import ResourceLimitError
 from qproduct.poly import (
     IntPolynomial,
@@ -21,7 +22,6 @@ from qproduct.poly import (
     cyclic_reduce,
     expand_restricted_product,
     iter_expansions,
-    poly_mul,
     progression_row,
     progression_sum_oracle,
     reverse_negate_check,
@@ -201,6 +201,16 @@ def test_csv_size_follows_the_coefficient_cap(monkeypatch):
     assert IntPolynomial.from_csv("7,1\n").coeffs == [0] * 7 + [1]
     with pytest.raises(ResourceLimitError, match="cap is 8"):
         IntPolynomial.from_csv("exponent,coefficient\n0,1\n8,1\n")
+
+
+def test_cyclic_reduce_follows_the_coefficient_cap(monkeypatch):
+    # the reduced list holds N entries whatever the degree: checked before allocating
+    monkeypatch.setenv("QPRODUCT_COEFF_CAP", "100")
+    p = IntPolynomial([1, -1])
+    assert cyclic_reduce(p, 100).coeffs == [1, -1] + [0] * 98
+    with pytest.raises(ResourceLimitError) as caught:
+        cyclic_reduce(p, 10**6)
+    assert str(caught.value) == "cyclic reduction needs 1000000 coefficients, cap is 100"
 
 
 def test_polynomial_degree_and_zero():

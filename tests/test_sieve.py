@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import ordered_tuple_count, z_polynomial_partition_sum
 from qproduct.characters import CharacterIndex
 from qproduct.errors import ResourceLimitError
 from qproduct.sieve import (
@@ -17,11 +18,9 @@ from qproduct.sieve import (
     f_psi_distinct_bruteforce,
     f_psi_sieve,
     f_psi_via_cycle_index,
-    ordered_tuple_count,
     prop_lws_check,
     restricted_count_identity_check,
     z_polynomial,
-    z_polynomial_partition_sum,
 )
 
 TOL = 1e-9
