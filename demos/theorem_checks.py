@@ -57,7 +57,8 @@ for s, n in [(1, 4), (3, 6), (2, 3)]:
 
 print("\nVanishing: with s*n odd, 2j = degree (mod N) forces a zero sum.")
 v = vanishing_predicate_main000(ProductSpec(1, 3), ProgressionQuery(4, 1))
-print(f"  s=1, n=3, N=4, j=1: congruence holds -> {v}, oracle already verified 0")
+zero = progression_sum_oracle(ProductSpec(1, 3), ProgressionQuery(4, 1))
+print(f"  s=1, n=3, N=4, j=1: congruence holds -> {v}, oracle sum {zero}")
 print("  moduli below n wipe out every residue class:",
       small_modulus_vanishing(ProductSpec(1, 6), 5))
 

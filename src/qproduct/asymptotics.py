@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .poly import ProductSpec, _require_under_cap, expansion, iter_expansions
+from .poly import ProductSpec, _require_under_cap, expand_restricted_product, iter_expansions
 
 K_REFERENCE = 0.19861
 
@@ -54,7 +54,7 @@ class AsymptoticFit:
 
 def max_abs_coefficient(spec: ProductSpec) -> int:
     """Largest |t_j| over the exact expansion."""
-    coeffs = expansion(spec).coeffs
+    coeffs = expand_restricted_product(spec).coeffs
     return max(max(coeffs), -min(coeffs))
 
 
@@ -206,9 +206,10 @@ def sandwich_inequality_check(spec: ProductSpec) -> bool:
     outer comparisons are exact integer against float and integer against
     integer.
     """
-    m = max_abs_coefficient(spec)
+    coeffs = expand_restricted_product(spec).coeffs  # one expansion for both sums
+    m = max(max(coeffs), -min(coeffs))
     circle = unit_circle_max(spec)
-    abs_sum = sum(abs(c) for c in expansion(spec).coeffs)
+    abs_sum = sum(abs(c) for c in coeffs)
     return (
         m <= circle * (1.0 + 1e-6)
         and circle <= abs_sum * (1.0 + 1e-12)

@@ -34,15 +34,14 @@ from typing import Callable, NamedTuple
 import mpmath
 import numpy as np
 
-from .errors import PrecisionError, ResourceLimitError
+from .errors import PrecisionError
 from .poly import (
     ProductSpec,
     ProgressionQuery,
     _require_int,
     _require_under_cap,
-    expansion,
+    expand_restricted_product,
     progression_row,
-    progression_sum_oracle,
 )
 
 RESIDUAL_THRESHOLD = 0.25
@@ -354,20 +353,12 @@ def closed_form_main1(spec: ProductSpec, j: int) -> int:
 def vanishing_predicate_main000(spec: ProductSpec, query: ProgressionQuery) -> bool:
     """For odd s*n: does 2j = degree (mod N), forcing a zero progression sum?
 
-    Label main000.  When the congruence holds, the oracle sum is verified to
-    vanish before returning True.
+    Label main000; `qproduct verify` checks that the exact sum vanishes
+    wherever the congruence holds.
     """
     if (spec.s * spec.n) % 2 == 0:
         raise ValueError("vanishing predicate requires odd s*n")
-    holds = (2 * query.residue - spec.degree) % query.modulus == 0
-    if holds:
-        actual = progression_sum_oracle(spec, query)
-        if actual != 0:
-            raise ArithmeticError(
-                f"vanishing violated: s={spec.s} n={spec.n} N={query.modulus} "
-                f"j={query.residue} gives {actual}"
-            )
-    return holds
+    return (2 * query.residue - spec.degree) % query.modulus == 0
 
 
 def small_modulus_vanishing(spec: ProductSpec, modulus: int) -> bool:
@@ -387,37 +378,28 @@ def small_modulus_vanishing(spec: ProductSpec, modulus: int) -> bool:
 def divisor_coefficients_div1(spec: ProductSpec) -> tuple[int, int]:
     """(t_D, t_{degree-D}) for D = degree, the only divisor in (degree/2, degree].
 
-    Label div1; requires s and n odd, and the pair is verified against the
-    exact expansion to equal (-1, +1).  Every proper divisor of the degree is
-    at most degree/2, so the paper's range admits D = degree alone.
+    Label div1; requires s and n odd, where the paper's pair is (-1, +1).  Read
+    off the exact expansion; `qproduct verify` checks the value.  Every proper
+    divisor of the degree is at most degree/2, so the paper's range admits
+    D = degree alone.
     """
     if spec.s % 2 == 0 or spec.n % 2 == 0:
         raise ValueError("divisor-coefficient identity requires s and n odd")
-    p = expansion(spec)
-    pair = (p[spec.degree], p[0])
-    if pair != (-1, 1):
-        raise ArithmeticError(
-            f"divisor coefficients violated for s={spec.s} n={spec.n} D={spec.degree}: {pair}"
-        )
-    return pair
+    p = expand_restricted_product(spec)
+    return p[spec.degree], p[0]
 
 
 def midpoint_zero_peak1(spec: ProductSpec) -> int:
     """The middle coefficient t_{degree/2}, which vanishes for n = 3 (mod 4), s odd.
 
-    Label peak1; the value is read off the exact expansion and verified to be
-    zero before returning.
+    Label peak1; read off the exact expansion, and `qproduct verify` checks
+    that it is zero.
     """
     if spec.n % 4 != 3:
         raise ValueError("midpoint identity requires n = 3 (mod 4)")
     if spec.s % 2 == 0:
         raise ValueError("midpoint identity requires odd s")
-    value = expansion(spec)[spec.degree // 2]
-    if value != 0:
-        raise ArithmeticError(
-            f"midpoint coefficient violated for s={spec.s} n={spec.n}: {value}"
-        )
-    return value
+    return expand_restricted_product(spec)[spec.degree // 2]
 
 
 def tau_progression(n: int, j: int) -> int:
@@ -425,22 +407,9 @@ def tau_progression(n: int, j: int) -> int:
 
     The s = 24 case of closed_form_main1: exactly (n+1)^23 * phi(n+1) for
     j = 0, and -(n+1)^23 for every j != 0 when n+1 is prime.  Exact
-    big-integer arithmetic; whenever the coefficient cap permits the full
-    expansion, the value is cross-checked against the exact oracle.
+    big-integer arithmetic with no expansion; `qproduct verify --theorem tau`
+    checks it against the exact oracle.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= j <= n:
-        raise ValueError(f"residue must lie in [0, {n}], got {j}")
-    spec = ProductSpec(24, n)
-    value = closed_form_main1(spec, j)
-    try:
-        actual = progression_sum_oracle(spec, ProgressionQuery(n + 1, j))
-    except ResourceLimitError:
-        return value  # above the coefficient cap: closed form, unchecked
-    if actual != value:
-        raise ArithmeticError(
-            f"tau progression mismatch at n={n}, j={j}: closed form {value}, "
-            f"oracle {actual}"
-        )
-    return value
+    return closed_form_main1(ProductSpec(24, n), j)

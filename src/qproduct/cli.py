@@ -182,7 +182,7 @@ def _specs(smax, nmax):
 
 def _progression_sums(spec):
     """Every (N, j, exact progression sum) of spec for 1 <= N <= degree+1."""
-    p = poly.expansion(spec)
+    p = poly.expand_restricted_product(spec)
     for modulus in range(1, spec.degree + 2):
         row = poly.cyclic_reduce(p, modulus).coeffs
         for j in range(modulus):
@@ -203,13 +203,13 @@ def _vanishing_cases(args):
         if (spec.s * spec.n) % 2 == 0:
             continue
         for modulus, j, exact in _progression_sums(spec):
-            if (2 * j - spec.degree) % modulus == 0:
+            if characters.vanishing_predicate_main000(spec, poly.ProgressionQuery(modulus, j)):
                 yield {"s": spec.s, "n": spec.n, "N": modulus, "j": j}, 0, exact
 
 
 def _main0_cases(args):
     for spec in _specs(args.smax, min(args.nmax, 8)):
-        p = poly.expansion(spec)
+        p = poly.expand_restricted_product(spec)
         for j in range(spec.degree + 1):
             got = characters.single_coefficient_main0(spec, j)
             yield {"s": spec.s, "n": spec.n, "j": j}, p[j], got
@@ -230,18 +230,12 @@ def _small_modulus_cases(args):
             yield {"s": spec.s, "n": spec.n, "N": modulus}, True, got
 
 
-def _raising_cases(admits, check):
-    """One case per admitted spec; got is the ArithmeticError text, if any."""
+def _corollary_cases(admits, read, expected):
+    """One case per admitted spec: the value read against the paper's."""
     def cases(args):
         for spec in _specs(args.smax, args.nmax):
-            if not admits(spec):
-                continue
-            try:
-                check(spec)
-                error = None
-            except ArithmeticError as exc:
-                error = str(exc)
-            yield {"s": spec.s, "n": spec.n}, None, error
+            if admits(spec):
+                yield {"s": spec.s, "n": spec.n}, expected, read(spec)
     return cases
 
 
@@ -266,7 +260,7 @@ def _series_cases(s, series):
     def cases(args):
         limit = args.max if args.max is not None else args.nmax
         terms = series(limit, args)
-        product = poly.expansion(poly.ProductSpec(s, max(limit, 1)))
+        product = poly.expand_restricted_product(poly.ProductSpec(s, max(limit, 1)))
         dense = partitions.series_to_coeffs(terms, limit)
         for e in range(limit + 1):
             yield {"exponent": e}, product[e], dense[e]
@@ -284,18 +278,20 @@ _CHECKS = {
     "main1": (_main1_cases, _VALUES),
     "main00cor": (_small_modulus_cases, (None, None)),
     "div1": (
-        _raising_cases(
+        _corollary_cases(
             lambda spec: spec.s % 2 and spec.n % 2,
             characters.divisor_coefficients_div1,
+            (-1, 1),
         ),
-        (None, "error"),
+        _VALUES,
     ),
     "peak1": (
-        _raising_cases(
+        _corollary_cases(
             lambda spec: spec.n % 4 == 3 and spec.s % 2,
             characters.midpoint_zero_peak1,
+            0,
         ),
-        (None, "error"),
+        _VALUES,
     ),
     "tau": (_tau_cases, _VALUES),
     "maxpeak": (_maxpeak_cases, (None, None)),

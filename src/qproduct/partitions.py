@@ -21,7 +21,6 @@ from .poly import (
     ProductSpec,
     _require_under_cap,
     expand_restricted_product,
-    expansion,
 )
 
 
@@ -230,7 +229,7 @@ def stable_prefix_check(s: int, n: int, terms: list[SeriesTerm]) -> bool:
     and the matching full series share that prefix.
     """
     dense = series_to_coeffs(terms, n)
-    product = expansion(ProductSpec(s, n))
+    product = expand_restricted_product(ProductSpec(s, n))
     return all(product[i] == dense[i] for i in range(n + 1))
 
 

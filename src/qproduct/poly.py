@@ -219,18 +219,6 @@ def iter_expansions(s: int, n_values: Sequence[int]) -> Iterator[tuple[int, IntP
             yield a, IntPolynomial(np.concatenate((low, high)).tolist())
 
 
-@lru_cache(maxsize=64)
-def _expansion_cached(s: int, n: int) -> IntPolynomial:
-    # Shared read-only expansions; callers must not mutate .coeffs.
-    return expand_restricted_product(ProductSpec(s, n))
-
-
-def expansion(spec: ProductSpec) -> IntPolynomial:
-    """Cached expansion of a product spec (treat the result as read-only)."""
-    _require_under_cap("expansion", spec.degree + 1)  # before the cache
-    return _expansion_cached(spec.s, spec.n)
-
-
 def cyclic_reduce(p: IntPolynomial, modulus: int) -> IntPolynomial:
     """Reduce p mod q^N - 1: entry j is the sum of coeffs over exponents = j mod N."""
     if modulus < 1:

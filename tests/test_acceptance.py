@@ -40,7 +40,7 @@ from qproduct.partitions import (
 from qproduct.poly import (
     ProductSpec,
     _multiply_in_place,
-    expansion,
+    expand_restricted_product,
 )
 from qproduct.sieve import (
     f_psi_distinct_bruteforce,
@@ -198,7 +198,7 @@ def test_criterion_07_partition_parity():
     ok = True
     for s, n in itertools.product(range(1, 4), range(1, 9)):
         spec = ProductSpec(s, n)
-        p = expansion(spec)
+        p = expand_restricted_product(spec)
         for j in range(spec.degree + 1):
             if parity_counts(s, n, j).difference != p[j]:
                 ok = False
@@ -218,7 +218,7 @@ def test_criterion_08_classical_series():
         if not stable_prefix_check(3, n, jacobi_series(n, "standard")):
             ok = False
     printed = series_to_coeffs(jacobi_series(0, "as-printed"), 0)
-    if printed[0] == expansion(ProductSpec(3, 1))[0]:
+    if printed[0] == expand_restricted_product(ProductSpec(3, 1))[0]:
         ok = False  # the as-printed exponents must NOT match at q^0
     report(8, "classical series prefixes", ok)
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qproduct import characters
+from oracles import poly_mul
+from qproduct import poly
 from qproduct.errors import PrecisionError, ResourceLimitError
 from qproduct.characters import (
     _CHAR_FACTOR,
@@ -45,13 +46,13 @@ from qproduct.poly import (
     ProductSpec,
     ProgressionQuery,
     cyclic_reduce,
-    expansion,
+    expand_restricted_product,
     progression_sum_oracle,
 )
 
 
 def oracle_row(spec, modulus):
-    return cyclic_reduce(expansion(spec), modulus).coeffs
+    return cyclic_reduce(expand_restricted_product(spec), modulus).coeffs
 
 
 def test_character_index_basics():
@@ -122,7 +123,7 @@ def test_single_coefficient_examples():
 @pytest.mark.parametrize("s,n", [(1, 5), (2, 4)])
 def test_single_coefficient_recovers_all(s, n):
     spec = ProductSpec(s, n)
-    p = expansion(spec)
+    p = expand_restricted_product(spec)
     for j in range(spec.degree + 1):
         assert single_coefficient_main0(spec, j) == p[j]
 
@@ -230,11 +231,73 @@ def test_tau_cross_check_follows_the_oracle_cap(monkeypatch):
     monkeypatch.setenv("QPRODUCT_COEFF_CAP", str(24 * 5 * 6 // 2))
     for j in range(6):
         assert tau_progression(5, j) == closed_form_main1(spec, j)
-    # at degree + 1 the oracle runs and a disagreeing value is reported
-    monkeypatch.setenv("QPRODUCT_COEFF_CAP", str(spec.degree + 1))
-    monkeypatch.setattr(characters, "progression_sum_oracle", lambda spec, query: 7)
-    with pytest.raises(ArithmeticError, match="tau progression mismatch"):
-        tau_progression(5, 0)
+
+
+def test_closed_forms_build_no_cyclic_row(monkeypatch):
+    # tau_progression and the vanishing predicate expand nothing: verify
+    # checks them against the exact rows, so they never build one themselves
+    def no_row(*args):
+        raise AssertionError("cyclic row built")
+
+    monkeypatch.setattr(poly, "_cyclic_row", no_row)
+    assert tau_progression(900, 0) == 901**23 * euler_phi(901)
+    assert tau_progression(5, 3) == closed_form_main1(ProductSpec(24, 5), 3)
+    assert vanishing_predicate_main000(ProductSpec(1, 3), ProgressionQuery(4, 1))
+
+
+# differential tests of the closed forms and corollary readers against the
+# exact oracles, on randomized inputs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(1, 60))
+@example(1)
+@example(60)
+def test_tau_progression_matches_oracle(n):
+    spec = ProductSpec(24, n)
+    for j in range(n + 1):
+        assert tau_progression(n, j) == progression_sum_oracle(spec, ProgressionQuery(n + 1, j))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(0, 3), st.integers(0, 5))
+@example(0, 0)  # s = n = 1
+@example(3, 5)  # s = 7, n = 11
+def test_vanishing_predicate_implies_zero_oracle_sum(half_s, half_n):
+    spec = ProductSpec(2 * half_s + 1, 2 * half_n + 1)  # odd s*n
+    for modulus in range(1, spec.degree + 3):
+        for j in range(modulus):
+            query = ProgressionQuery(modulus, j)
+            if vanishing_predicate_main000(spec, query):
+                assert progression_sum_oracle(spec, query) == 0
+
+
+def _fold(spec):
+    """Coefficients of the product by a plain poly_mul fold of its factors."""
+    p = [1]
+    for a in range(1, spec.n + 1):
+        for _ in range(spec.s):
+            p = poly_mul(p, [1] + [0] * (a - 1) + [-1])
+    return p
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(0, 4), st.integers(0, 7))
+@example(0, 0)
+@example(4, 7)  # s = 9, n = 15
+def test_divisor_coefficients_match_fold(half_s, half_n):
+    spec = ProductSpec(2 * half_s + 1, 2 * half_n + 1)
+    p = _fold(spec)
+    assert divisor_coefficients_div1(spec) == (p[spec.degree], p[0])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(0, 4), st.integers(0, 3))
+@example(0, 0)  # s = 1, n = 3
+@example(4, 3)  # s = 9, n = 15
+def test_midpoint_coefficient_matches_fold(half_s, quarter_n):
+    spec = ProductSpec(2 * half_s + 1, 4 * quarter_n + 3)
+    assert midpoint_zero_peak1(spec) == _fold(spec)[spec.degree // 2]
 
 
 def test_precision_escalation_beyond_double():

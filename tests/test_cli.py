@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qproduct import asymptotics, partitions
+from qproduct import asymptotics, characters, partitions, poly
 from qproduct.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -131,6 +131,43 @@ def test_verify_maxpeak_fails_on_nan(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["passed"] is False
     assert payload["checks"][0]["failures"][0]["check"] == "K"
+
+
+def test_verify_reports_a_wrong_tau_value(capsys, monkeypatch):
+    # a wrong closed form is one failed check in a full report, not exit 3
+    closed_form = characters.closed_form_main1
+    monkeypatch.setattr(
+        characters, "closed_form_main1", lambda spec, j: closed_form(spec, j) + (spec.s == 24)
+    )
+    code, out, _ = run(capsys, "verify", "--all", "--smax", "2", "--nmax", "4")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert len(payload["checks"]) == 13 and [c["label"] for c in failed] == ["tau"]
+    assert failed[0]["failure_count"] == failed[0]["cases"] == 14
+    assert failed[0]["failures"][0] == {
+        "n": 1, "j": 0, "expected": str(2**23), "got": str(2**23 + 1)
+    }
+
+
+@pytest.mark.parametrize(
+    "label,expected,got", [("div1", "(-1, 1)", "(1, 1)"), ("peak1", "0", "1")]
+)
+def test_verify_corollaries_report_expected_and_got(capsys, monkeypatch, label, expected, got):
+    # the table holds the readers themselves, so corrupt the expansion they read
+    monkeypatch.setattr(
+        characters,
+        "expand_restricted_product",
+        lambda spec: poly.IntPolynomial([1] * (spec.degree + 1)),
+    )
+    code, out, _ = run(capsys, "verify", "--theorem", label)
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert check["failure_count"] == check["cases"] > 0
+    assert {k: check["failures"][0][k] for k in ("expected", "got")} == {
+        "expected": expected, "got": got
+    }
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"]))
