@@ -72,57 +72,3 @@ from .sieve import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AsymptoticFit",
-    "CharacterIndex",
-    "CycleType",
-    "IntPolynomial",
-    "K_REFERENCE",
-    "ParityCounts",
-    "PrecisionError",
-    "ProductSpec",
-    "ProgressionQuery",
-    "ResourceLimitError",
-    "SeriesTerm",
-    "SudlerConstant",
-    "asymptotic_fit",
-    "cauchy_identity_check",
-    "character_group",
-    "character_sum_main00",
-    "closed_form_main1",
-    "cyclic_reduce",
-    "divisor_coefficients_div1",
-    "egf_consistency_check",
-    "enumerate_cycle_types",
-    "euler_phi",
-    "expand_restricted_product",
-    "f_psi_distinct_bruteforce",
-    "f_psi_sieve",
-    "hecke_rogers_series",
-    "jacobi_series",
-    "max_abs_coefficient",
-    "max_abs_profile",
-    "midpoint_zero_peak1",
-    "mobius",
-    "parity_counts",
-    "pentagonal_series",
-    "progression_sum_oracle",
-    "prop_lws_check",
-    "q_binomial",
-    "ramanujan_sum",
-    "restricted_count_identity_check",
-    "reverse_negate_check",
-    "sandwich_inequality_check",
-    "series_to_coeffs",
-    "single_coefficient_main0",
-    "small_modulus_vanishing",
-    "stable_prefix_check",
-    "sudler_constant",
-    "tau_progression",
-    "trig_form_main0000",
-    "truncated_tau",
-    "unit_circle_max",
-    "vanishing_predicate_main000",
-    "z_polynomial",
-]

@@ -8,6 +8,11 @@ over arbitrary-precision integers, built by multiplying by (1 - q^a) in place
 over two rings: Z[q]/(q^L) for the vector, Z[q]/(q^N - 1) for its sums over
 arithmetic progressions of exponents mod N.  These exact integers are the
 ground truth that every formula elsewhere in the package is checked against.
+
+Both rings hold an element as int64 limbs D, entry i = sum_k D[k, i] * 2^(32k).
+A pass subtracts the shifted array from every limb alike; a carry at least
+every 30 passes keeps each limb below 2^62 and adds a limb when the top one
+reaches 2^31.  Each snapshot is decoded once: coefficients stay Python ints.
 """
 
 from __future__ import annotations
@@ -176,13 +181,37 @@ class IntPolynomial:
 
 
 def _multiply_in_place(arr: np.ndarray, a: int, s: int, end: int) -> int:
-    # arr *= (1 - q^a)^s in Z[q]/(q^len(arr)), arr[end:] zero on entry; returns
-    # the new end, one past the degree.  numpy buffers overlapping operands.
+    # arr *= (1 - q^a)^s in Z[q]/(q^len) along the last axis, arr[..., end:] zero on
+    # entry; returns the new end, one past the degree.  numpy buffers overlapping operands.
     for _ in range(s):
-        end = min(end + a, len(arr))
+        end = min(end + a, arr.shape[-1])
         if a < end:
-            np.subtract(arr[a:end], arr[: end - a], out=arr[a:end])
+            np.subtract(arr[..., a:end], arr[..., : end - a], out=arr[..., a:end])
     return end
+
+
+# A pass at most doubles a limb and a carry leaves every limb below 2^32, so a
+# carry every _CARRY_EVERY passes keeps limbs below 2^62: int64 stays exact.
+_CARRY_EVERY = 30
+
+
+def _carry(limbs: np.ndarray, end: int) -> np.ndarray:
+    # Leaves columns :end in [0, 2^32) on every limb but the top, in (-2^31, 2^31).
+    k = 0
+    while k < len(limbs) - 1 or np.abs(limbs[-1, :end]).max() >= 2**31:
+        if k == len(limbs) - 1:
+            limbs = np.concatenate((limbs, np.zeros_like(limbs[:1])))
+        limbs[k + 1, :end] += limbs[k, :end] >> 32
+        limbs[k, :end] &= 2**32 - 1
+        k += 1
+    return limbs
+
+
+def _decode(raw: bytes, count: int) -> list[int]:
+    # raw holds each column's count carried limbs as 4 little-endian bytes each:
+    # the two's-complement digits of its integer.
+    w = 4 * count
+    return [int.from_bytes(raw[i : i + w], "little", signed=True) for i in range(0, len(raw), w)]
 
 
 def expand_restricted_product(spec: ProductSpec) -> IntPolynomial:
@@ -207,16 +236,24 @@ def iter_expansions(s: int, n_values: Sequence[int]) -> Iterator[tuple[int, IntP
         raise ValueError("n values must be positive")
     top = ProductSpec(s, targets[-1]).degree
     _require_under_cap("expansion", top + 1)
-    arr = np.zeros(top // 2 + 1, dtype=object)
-    arr[0] = 1
-    end = 1
+    limbs = np.zeros((1, top // 2 + 1), dtype=np.int64)
+    limbs[0, 0] = 1
+    end, passes = 1, 0
     for a in range(1, targets[-1] + 1):
-        end = _multiply_in_place(arr, a, s, end)
+        for _ in range(s):
+            end = _multiply_in_place(limbs, a, 1, end)
+            passes += 1
+            if passes % _CARRY_EVERY == 0:
+                limbs = _carry(limbs, end)
         if a in targets:
             degree = s * a * (a + 1) // 2
-            low = arr[: degree // 2 + 1]
-            high = (-1) ** (s * a) * low[(degree - 1) // 2 :: -1]
-            yield a, IntPolynomial(np.concatenate((low, high)).tolist())
+            limbs = _carry(limbs, end)
+            raw, count = limbs[:, : degree // 2 + 1].T.astype("<u4").tobytes(), len(limbs)
+            if a == targets[-1]:
+                del limbs  # free the limbs before building the ints
+            low = _decode(raw, count)
+            high = low[(degree - 1) // 2 :: -1]
+            yield a, IntPolynomial(low + ([-c for c in high] if s * a % 2 else high))
 
 
 def cyclic_reduce(p: IntPolynomial, modulus: int) -> IntPolynomial:
@@ -234,13 +271,22 @@ def cyclic_reduce(p: IntPolynomial, modulus: int) -> IntPolynomial:
 # A row holds up to N ints, and every measured reuse came within 4 other rows.
 @lru_cache(maxsize=8)
 def _cyclic_row(s: int, n: int, modulus: int) -> IntPolynomial:
-    # Shared read-only rows: Z[q]/(q^N - 1), one roll per factor pass.
-    arr = np.zeros(modulus, dtype=object)
-    arr[0] = 1
+    # Shared read-only rows: Z[q]/(q^N - 1), where a pass is the truncated pass by
+    # r = a mod N plus the wrap of what it pushes past N; at r = 0 it leaves 0.
+    limbs = np.zeros((1, modulus), dtype=np.int64)
+    limbs[0, 0] = 1
+    passes = 0
     for a in range(1, n + 1):
+        r = a % modulus
         for _ in range(s):
-            arr -= np.roll(arr, a % modulus)
-    return IntPolynomial(arr.tolist())
+            tail = limbs[:, modulus - r :].copy()
+            _multiply_in_place(limbs, r, 1, modulus)
+            limbs[:, :r] -= tail
+            passes += 1
+            if passes % _CARRY_EVERY == 0:
+                limbs = _carry(limbs, modulus)
+    limbs = _carry(limbs, modulus)
+    return IntPolynomial(_decode(limbs.T.astype("<u4").tobytes(), len(limbs)))
 
 
 def progression_row(spec: ProductSpec, modulus: int) -> IntPolynomial:

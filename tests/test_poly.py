@@ -267,9 +267,16 @@ _S, _N = st.integers(1, 7), st.integers(1, 16)
 @given(_S, _N)
 @example(7, 16)
 @example(1, 1)
+@example(35, 6)  # 115-bit coefficients: 4 limbs, a carry inside one factor
+@example(64, 4)  # 161-bit coefficients: 6 limbs
 def test_expansion_matches_fold(s, n):
     # the upper half comes from the reversal law, so compare every coefficient
     assert expand_restricted_product(ProductSpec(s, n)).coeffs == _fold(s, n)[n]
+
+
+def test_fold_examples_span_several_limbs():
+    # the s > 30 examples above reach past two 32-bit limbs
+    assert max(map(abs, _fold(64, 4)[4])) >= 2**64
 
 
 @_SETTINGS
@@ -286,6 +293,8 @@ def test_iter_expansions_unsorted_and_repeated(s, n_values):
 @example(1, 16)  # N = n divides a = n in the cyclic ring
 @example(7, 16)
 @example(1, 2)
+@example(35, 6)
+@example(64, 4)
 def test_oracle_matches_reduced_fold(s, n):
     spec = ProductSpec(s, n)
     p = IntPolynomial(_fold(s, n)[n])
