@@ -8,15 +8,17 @@ progression sum M(j) = sum of t_i over exponents i = j (mod N) satisfies
 which is a plain roots-of-unity filter applied to T(q) = prod (1 - q^a)^s:
 the r-th summand is psi_r^{-1}(j) * T(psi_r(1)).  An equivalent all-real form
 pairs r with N - r and evaluates sine/cosine products.  Both routes return
-integers: one evaluator sums either form in floating point, from a vectorized
-double-precision pass up through mpmath precisions, until the result sits
-within 0.25 of an integer with the error estimate also below 0.25.  Both
-routes climb one ladder: they skip the double pass past s*n = 900 and start
-at the first precision whose estimate, computed once per (s, n, N) from
-|T(psi_r(1))|, passes.  An mpmath table evaluates each root of unity once per
-precision, the double table one numpy factor per (a, r).  The estimate is
-first-order, not a proven bound, so the integer is not certified; it matches
-the exact oracle on every input tested.
+integers: one evaluator sums either form, from a vectorized double-precision
+pass up through exact integer arithmetic at 64 to 1024 bits, until the result
+sits within 0.25 of an integer with the error estimate also below 0.25.  Both
+routes climb one ladder: they skip the double pass past s*n = 900, start at
+the first precision whose estimate, computed once per (s, n, N) from
+|T(psi_r(1))|, passes, and raise at once if none does.  Above 53 bits one
+fixed-point table of the roots of unity per (N, precision) feeds every factor
+and phase, each product truncates once, the sum is exact, and a stated
+first-order bound keeps that arithmetic error far below the estimate.  The
+estimate is first-order, not a proven bound, so the integer is not certified;
+it matches the exact oracle on every input tested.
 
 Special moduli give closed forms with no floating point at all: N = degree+1
 isolates one coefficient per residue, and N = n+1 collapses to a totient
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-import mpmath
 import numpy as np
 
 from .errors import PrecisionError
@@ -136,15 +137,28 @@ def ramanujan_sum(modulus: int, j: int) -> int:
 # table_r = prod_a factor(a*r)^s, where r stands for the conjugate pair
 # {r, N-r} (w_r = 2) or, for even N, the self-paired r = N/2 (w_r = 1).  The
 # tables do not depend on the residue, so they are cached per (s, n, N) at
-# double precision and per (s, n, N, prec) in mpmath; the mpmath cache stays
-# small because single queries rarely reuse a spec.
+# double precision and per (s, n, N, P) in fixed point.
+#
+# A fixed-point rung at prec bits holds each value v as an integer near 2^P * v,
+# P = prec + 32, read from one table of the roots e^(i*pi*k/N) per (N, P).  A
+# product is (x*y) >> P, the sum over r is exact, and only the rounding divides.
+# The trig factor is 2 sin there, so each table entry is lead * table_r up to
+# sign, as for 1 - psi_r(a).  Error bound, with u = 2^-P: each factor and phase
+# is within 2u, each product truncates by under 2u, and zero factors are exact.
+# To first order, term r then has relative error at most the sum of 2u/|v| over
+# the factors, phase, partial products and powers v it is built from, each
+# counted as often as the power s uses it.  A nonzero factor has |f_a| >=
+# 2 sin(pi/N) >= 4/N, so the factors add at most u*s*n*N/2: against the
+# estimate's scale sum_r w_r |lead * table_r| / N, below 2^-35 * N times the
+# estimate.  Partial products and powers have no a-priori lower bound, so the
+# bound is checked on randomized inputs, not proven.
 
 
 class _Form(NamedTuple):
-    """A factor or phase as a function of (k, N): numpy and mpmath forms."""
+    """A factor or phase of k: numpy (k, N); fixed point (k, N, cos, sin) -> (re, im|None)."""
 
     f64: Callable
-    mp: Callable
+    fixed: Callable
 
 
 def _column_blocks(n: int, modulus: int):
@@ -165,15 +179,68 @@ def _table_f64(factor, s: int, n: int, modulus: int) -> np.ndarray:
         return np.concatenate(columns) ** s
 
 
-@lru_cache(maxsize=32)
-def _table_mp(factor, s: int, n: int, modulus: int, prec: int) -> tuple:
-    with mpmath.workprec(prec):
-        # Both mp factor forms reduce k mod 2N first: one value per residue.
-        value = lru_cache(maxsize=None)(lambda k: factor(k, modulus))
-        return tuple(
-            mpmath.fprod(value(a * r % (2 * modulus)) for a in range(1, n + 1)) ** s
-            for r in range(1, modulus // 2 + 1)
-        )
+_GUARD_BITS = 32
+
+
+def _arctan_inv(x: int, bits: int) -> int:
+    # 2^bits * arctan(1/x) by its alternating series, within a unit per term
+    total, term, k = 0, (1 << bits) // x, 1
+    while term:
+        total, term, k = total + (-1) ** (k // 2) * (term // k), term // (x * x), k + 2
+    return total
+
+
+@lru_cache(maxsize=4)
+def _roots(modulus: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integers within 0.52 of 2^bits * (cos, sin)(pi*k/N) for k in [0, 2N).
+
+    pi (Machin's formula) and z = e^(i*pi/N) (its Taylor series) carry 16 bits
+    more than q = bits + bitlen(2N) + 8.  Doubling chains of products at q bits
+    give z^k for k <= N/2 within 4k units of 2^-q; the rest follow exactly from
+    cos(pi - x) = -cos x, sin(pi - x) = sin x and z^(k+N) = -z^k.  Values that
+    are 0 or +-1 are exact, so a factor that vanishes is exactly zero.
+    """
+    q = bits + (2 * modulus).bit_length() + 8
+    pi = 4 * (4 * _arctan_inv(5, q + 16) - _arctan_inv(239, q + 16))
+    terms = [1 << (q + 16)]  # (pi/N)^k / k!
+    while terms[-1]:
+        terms.append(terms[-1] * pi // (len(terms) * modulus << (q + 16)))
+    zr, zi = (sum(terms[i::4]) - sum(terms[i + 2 :: 4]) >> 16 for i in (0, 1))
+    re, im = np.array([1 << q], dtype=object), np.array([0], dtype=object)
+    m = modulus // 2 + 1  # z^k for k <= N/2; the rest by symmetry
+    while len(re) < m:  # append z^len times the powers so far; square z^len
+        re, im = np.append(re, (re * zr - im * zi) >> q), np.append(im, (re * zi + im * zr) >> q)
+        zr, zi = (zr * zr - zi * zi) >> q, (2 * zr * zi) >> q
+    cos, sin = ((v[:m] + (1 << (q - bits - 1))) >> (q - bits) for v in (re, im))
+    cos[0], sin[0] = 1 << bits, 0
+    if modulus % 2 == 0:
+        cos[m - 1], sin[m - 1] = 0, 1 << bits
+    mirror = slice(modulus - m, 0, -1)  # N - k for k in (N/2, N)
+    cos, sin = np.append(cos, -cos[mirror]), np.append(sin, sin[mirror])
+    return np.append(cos, -cos), np.append(sin, -sin)
+
+
+def _mul(x: tuple, y: tuple, bits: int) -> tuple:
+    # (x * y) >> bits for fixed-point (re, im) pairs, im None when both are real
+    (a, b), (c, d) = x, y
+    if b is None:
+        return (a * c) >> bits, None
+    return (a * c - b * d) >> bits, (a * d + b * c) >> bits
+
+
+@lru_cache(maxsize=4)
+def _table_fixed(factor, s: int, n: int, modulus: int, bits: int) -> tuple:
+    # every r at once: the product over a, then its power s by squaring
+    roots, r = _roots(modulus, bits), np.arange(1, modulus // 2 + 1)
+    base = factor(r, modulus, *roots)
+    for a in range(2, n + 1):
+        base = _mul(base, factor(a * r, modulus, *roots), bits)
+    table = base
+    for bit in bin(s)[3:]:
+        table = _mul(table, table, bits)
+        if bit == "1":
+            table = _mul(table, base, bits)
+    return table
 
 
 @lru_cache(maxsize=16384)
@@ -183,9 +250,9 @@ def _ladder(spec: ProductSpec, modulus: int) -> tuple[tuple, float]:
     The error estimate scale * 2^(1-prec) * (4sn+16), scale = |lead|/N *
     sum_r w_r |table_r|, is computed only here: log2|lead * table_r| is
     s * sum_a log2|2 sin(pi*a*r/N)| in both routes, which cannot overflow or
-    underflow, and which agrees with both tables at every rung because each
-    factor with a*r = 0 (mod N) is exactly zero in all four of them.  Rungs
-    start at the first whose estimate is below 0.25, or at the last.
+    underflow, and which agrees with every table at every rung because each
+    factor with a*r = 0 (mod N) is exactly zero in all of them.  Rungs start
+    at the first whose estimate is below 0.25, or at the last.
     """
     s, n, sn = spec.s, spec.n, spec.s * spec.n
     ladder = (FAST_PRECISION_BITS,) * (sn <= _FAST_SN_LIMIT) + MP_PRECISION_LADDER
@@ -200,53 +267,55 @@ def _ladder(spec: ProductSpec, modulus: int) -> tuple[tuple, float]:
     return ladder[skip:], float(log2_err)
 
 
+def _unrounded_sum(
+    factor: _Form, phase: _Form, x: int, lead: int, spec: ProductSpec, modulus: int, prec: int
+) -> tuple:
+    """The sum _rounded_sum rounds, at one rung: float num, den 1, or exact integers."""
+    if prec == FAST_PRECISION_BITS:
+        table = _table_f64(factor.f64, spec.s, spec.n, modulus)
+        phases = phase.f64(x * np.arange(1, modulus // 2 + 1), modulus)
+        w = np.full(modulus // 2, 2.0)  # the pair weights: 2, or 1 at r = N/2
+        if modulus % 2 == 0:
+            w[-1] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return lead * float((w * (phases * table).real).sum()) / modulus, 1
+    bits = prec + _GUARD_BITS
+    tr, ti = _table_fixed(factor.fixed, spec.s, spec.n, modulus, bits)
+    pr, pi = phase.fixed(x * np.arange(1, modulus // 2 + 1), modulus, *_roots(modulus, bits))
+    terms = pr * tr if pi is None else pr * tr - pi * ti
+    total = 2 * terms.sum() - (terms[-1] if modulus % 2 == 0 else 0)
+    return (-total if lead < 0 else total), modulus << (2 * bits)
+
+
 def _rounded_sum(
     factor: _Form, phase: _Form, x: int, lead: int, spec: ProductSpec, modulus: int
 ) -> tuple[int, int]:
     """Round lead/N * sum_r w_r * Re(phase(x*r) * table_r) to an integer.
 
-    Accepts the nearest integer once both the error estimate of _ladder (not
-    a proven bound) and the rounding residual fall below 0.25.  Otherwise
-    climbs from 53 bits (numpy, tried only when s*n <= 900) through the mpmath
-    rungs 64, 128, ..., failing after 1024, starting where the estimate passes.
-    An mpmath table evaluates each root of unity once per rung, the double
-    table one numpy factor per (a, r).  Raises ResourceLimitError, before any
-    table is built or looked up, if the n * floor(N/2) entries exceed the cap.
+    Accepts the nearest integer at the first rung of _ladder (where the error
+    estimate is below 0.25) whose residual is below 0.25; the double rung (numpy,
+    only when s*n <= 900) states no error bound, the fixed-point rungs the one
+    stated above _Form.  Raises PrecisionError at once if even 1024 bits fail
+    the estimate, and ResourceLimitError, before any table is built or looked
+    up, if the n * floor(N/2) entries exceed the cap.
     """
     _require_under_cap("character table", spec.n * (modulus // 2), "entries")
     if modulus == 1:
         return 0, 0  # no nontrivial characters; the sum is empty
     ladder, log2_err = _ladder(spec, modulus)
+    if log2_err - ladder[-1] >= _LOG2_THRESHOLD:
+        raise PrecisionError(
+            f"certified rounding failed at 1024 bits (error estimate 2^{log2_err - 1024:.1f})"
+        )
     for prec in ladder:
-        if prec == FAST_PRECISION_BITS:
-            # Plain floats end to end: no mpmath context on the double rung.
-            table = _table_f64(factor.f64, spec.s, spec.n, modulus)
-            phases = phase.f64(x * np.arange(1, modulus // 2 + 1), modulus)
-            w = np.full(modulus // 2, 2.0)  # the pair weights: 2, or 1 at r = N/2
-            if modulus % 2 == 0:
-                w[-1] = 1.0
-            with np.errstate(over="ignore", invalid="ignore"):
-                value = lead * float((w * (phases * table).real).sum()) / modulus
-            if not math.isfinite(value):
-                continue
-            nearest = round(value)
-            residual = abs(value - nearest)
-        else:
-            with mpmath.workprec(prec):
-                table = _table_mp(factor.mp, spec.s, spec.n, modulus, prec)
-                total = mpmath.mpf(0)
-                for r, t in enumerate(table, 1):
-                    total += (2 - (2 * r == modulus)) * (phase.mp(x * r, modulus) * t).real
-                value = lead * total / modulus
-            # Round at working precision, not the global default.
-            with mpmath.workprec(prec + 16):
-                nearest = int(mpmath.nint(value))
-                residual = abs(value - nearest)
-        if log2_err - prec < _LOG2_THRESHOLD and residual < RESIDUAL_THRESHOLD:
+        num, den = _unrounded_sum(factor, phase, x, lead, spec, modulus, prec)
+        if prec == FAST_PRECISION_BITS and not math.isfinite(num):
+            continue
+        nearest = round(num) if prec == FAST_PRECISION_BITS else (2 * num + den) // (2 * den)
+        residual = abs(num - nearest * den) / den
+        if residual < RESIDUAL_THRESHOLD:
             return nearest, prec
-    raise PrecisionError(
-        f"certified rounding failed at 1024 bits (last residual {float(residual):.3g})"
-    )
+    raise PrecisionError(f"certified rounding failed at 1024 bits (last residual {residual:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +324,11 @@ def _rounded_sum(
 # factor 1 - psi_r(a) and phase psi_r^{-1}(j), with k = a*r and k = j*r
 _CHAR_FACTOR = _Form(
     lambda k, N: 1.0 - np.exp((2j * np.pi / N) * (k % N)),
-    lambda k, N: 1 - mpmath.expjpi(mpmath.mpf(2 * (k % N)) / N),
+    lambda k, N, cos, sin: (cos[0] - cos[2 * k % (2 * N)], -sin[2 * k % (2 * N)]),
 )
 _CHAR_PHASE = _Form(
     lambda k, N: np.exp(-2j * np.pi * (k % N) / N),
-    lambda k, N: mpmath.expjpi(mpmath.mpf(-2 * (k % N)) / N),
+    lambda k, N, cos, sin: (cos[2 * k % (2 * N)], -sin[2 * k % (2 * N)]),
 )
 
 
@@ -285,16 +354,18 @@ def character_sum_main00(spec: ProductSpec, query: ProgressionQuery) -> int:
 
 # sin(pi*k/N) is the factor (k = a*r) and, for odd s*n, the phase
 # (k = (2j - degree)*r); cos(pi*k/N) is the phase for even s*n.  The numpy
-# sine is set to exactly zero at k = 0 (mod N), as mpmath's sinpi is, where
-# np.sin(pi) is 1.2e-16: a stray factor times 2^(s*n) is not small.
+# sine is set to exactly zero at k = 0 (mod N), as the root table is, where
+# np.sin(pi) is 1.2e-16: a stray factor times 2^(s*n) is not small.  The
+# fixed-point factor is 2 sin, which folds the lead's 2^(s*n) into the table.
 _SIN = _Form(
     lambda k, N: np.where(k % N, np.sin(np.pi * (k % (2 * N)) / N), 0.0),
-    lambda k, N: mpmath.sinpi(mpmath.mpf(k % (2 * N)) / N),
+    lambda k, N, cos, sin: (sin[k % (2 * N)], None),
 )
 _COS = _Form(
     lambda k, N: np.cos(np.pi * (k % (2 * N)) / N),
-    lambda k, N: mpmath.cospi(mpmath.mpf(k % (2 * N)) / N),
+    lambda k, N, cos, sin: (cos[k % (2 * N)], None),
 )
+_TRIG_FACTOR = _Form(_SIN.f64, lambda k, N, cos, sin: (2 * sin[k % (2 * N)], None))
 
 
 def trig_form_with_precision(
@@ -308,7 +379,7 @@ def trig_form_with_precision(
     # (-1)^ceil(sn/2) * 2^sn, an exact power of two.
     lead = (-1) ** ((sn + 1) // 2) * 2**sn
     delta = 2 * query.residue - spec.degree
-    return _rounded_sum(_SIN, _SIN if sn % 2 else _COS, delta, lead, spec, query.modulus)
+    return _rounded_sum(_TRIG_FACTOR, _SIN if sn % 2 else _COS, delta, lead, spec, query.modulus)
 
 
 def trig_form_main0000(spec: ProductSpec, query: ProgressionQuery) -> int:

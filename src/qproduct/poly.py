@@ -160,25 +160,6 @@ class IntPolynomial:
         lines.extend(f"{i},{c}" for i, c in enumerate(self.coeffs))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "IntPolynomial":
-        rows = [ln for ln in text.strip().splitlines() if ln]
-        if rows and rows[0].lower().startswith("exponent"):
-            rows = rows[1:]
-        pairs = [(int(e), int(c)) for e, c in (row.split(",") for row in rows)]
-        size = max((e for e, _ in pairs), default=0) + 1
-        _require_under_cap("CSV", size)
-        coeffs = [0] * size
-        seen = set()
-        for e, c in pairs:
-            if e < 0:
-                raise ValueError(f"negative exponent {e} in CSV")
-            if e in seen:
-                raise ValueError(f"exponent {e} appears twice in CSV")
-            seen.add(e)
-            coeffs[e] = c
-        return cls(coeffs)
-
 
 def _multiply_in_place(arr: np.ndarray, a: int, s: int, end: int) -> int:
     # arr *= (1 - q^a)^s in Z[q]/(q^len) along the last axis, arr[..., end:] zero on

@@ -2,12 +2,16 @@
 
 Each is a plain, independent way to compute what a library routine computes
 faster: the schoolbook product behind the expansion kernel, the direct sum
-over cycle types behind the Z_k recurrence, and the falling factorial that
-the sieve gives for the trivial character.
+over cycle types behind the Z_k recurrence, the falling factorial that the
+sieve gives for the trivial character, and the mpmath product tables behind
+the fixed-point character and trig tables.
 """
 
 import math
+from functools import lru_cache
 from typing import Sequence
+
+import mpmath
 
 from qproduct.sieve import enumerate_cycle_types
 
@@ -48,3 +52,25 @@ def ordered_tuple_count(n: int, k: int) -> int:
     if k > n:
         return 0
     return math.factorial(n) // math.factorial(n - k)
+
+
+def mp_char_factor(k: int, modulus: int):
+    """The character factor 1 - psi_r(a) at k = a*r, in mpmath."""
+    return 1 - mpmath.expjpi(mpmath.mpf(2 * (k % modulus)) / modulus)
+
+
+def mp_sin(k: int, modulus: int):
+    """The trig factor sin(pi*k/N) at k = a*r, in mpmath (exactly zero at k = 0 mod N)."""
+    return mpmath.sinpi(mpmath.mpf(k % (2 * modulus)) / modulus)
+
+
+@lru_cache(maxsize=32)
+def table_mp(factor, s: int, n: int, modulus: int, prec: int) -> tuple:
+    """prod_a factor(a*r)^s for r = 1..N/2 in mpmath at prec bits."""
+    with mpmath.workprec(prec):
+        # Both factors reduce k mod 2N first: one value per residue.
+        value = lru_cache(maxsize=None)(lambda k: factor(k, modulus))
+        return tuple(
+            mpmath.fprod(value(a * r % (2 * modulus)) for a in range(1, n + 1)) ** s
+            for r in range(1, modulus // 2 + 1)
+        )

@@ -1,10 +1,12 @@
 """Character-sum and trigonometric formulas against the exact oracle."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
@@ -12,20 +14,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import poly_mul
-from qproduct import poly
+from oracles import mp_char_factor, mp_sin, poly_mul, table_mp
+from qproduct import characters, poly
 from qproduct.errors import PrecisionError, ResourceLimitError
 from qproduct.characters import (
     _CHAR_FACTOR,
     _FAST_SN_LIMIT,
+    _GUARD_BITS,
     _SIN,
+    _TRIG_FACTOR,
     FAST_PRECISION_BITS,
     MP_PRECISION_LADDER,
     RESIDUAL_THRESHOLD,
     CharacterIndex,
     _ladder,
+    _roots,
     _table_f64,
-    _table_mp,
+    _table_fixed,
+    _unrounded_sum,
     character_group,
     character_sum_main00,
     character_sum_with_precision,
@@ -301,7 +307,7 @@ def test_midpoint_coefficient_matches_fold(half_s, quarter_n):
 
 
 def test_precision_escalation_beyond_double():
-    # magnitudes around 2^96 force the mpmath ladder; result stays exact
+    # magnitudes around 2^96 force the fixed-point rungs; result stays exact
     spec = ProductSpec(24, 4)
     query = ProgressionQuery(25, 3)
     value, bits = character_sum_with_precision(spec, query)
@@ -361,21 +367,69 @@ def test_precision_failure_is_reported():
 
 
 def test_precision_failure_texts_are_pinned():
-    # past 1024 bits both routes report the residual of the last rung
+    # past 1024 bits both routes report the estimate at 1024 bits
     spec, query = ProductSpec(60, 49), ProgressionQuery(60, 26)
-    for route, residual in [
-        (character_sum_with_precision, "0.0396"),
-        (trig_form_with_precision, "0.0229"),
-    ]:
+    for route in (character_sum_with_precision, trig_form_with_precision):
         with pytest.raises(PrecisionError) as info:
             route(spec, query)
         assert str(info.value) == (
-            f"certified rounding failed at 1024 bits (last residual {residual})"
+            "certified rounding failed at 1024 bits (error estimate 2^1.1)"
         )
 
 
+@pytest.mark.parametrize("s,n,modulus", [(60, 49, 60), (4000, 1, 3), (40, 120, 397)])
+def test_hopeless_ladder_raises_before_any_table(monkeypatch, s, n, modulus):
+    # a ladder whose last rung fails the estimate cannot accept: no table is built
+    def no_table(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(characters, "_table_f64", no_table)
+    monkeypatch.setattr(characters, "_table_fixed", no_table)
+    for route in (character_sum_with_precision, trig_form_with_precision):
+        with pytest.raises(PrecisionError, match=r"^certified rounding failed at 1024 bits"):
+            route(ProductSpec(s, n), ProgressionQuery(modulus, 0))
+
+
+@pytest.mark.parametrize(
+    "modulus,bits",
+    [(1, 96), (2, 96), (3, 96), (4, 128), (5, 96), (12, 1056), (97, 160), (400, 288), (400, 1056)],
+)
+def test_root_table_is_within_its_bound(modulus, bits):
+    # every root within 0.52 units of 2^-bits, and exact where cos or sin is 0 or +-1
+    cos, sin = _roots(modulus, bits)
+    assert len(cos) == len(sin) == 2 * modulus
+    one = 2**bits
+    with mpmath.workprec(bits + 64):
+        for k in range(2 * modulus):
+            x = mpmath.mpf(k) / modulus
+            assert abs(cos[k] - one * mpmath.cospi(x)) <= 0.52
+            assert abs(sin[k] - one * mpmath.sinpi(x)) <= 0.52
+            if (2 * k) % modulus == 0:
+                assert (cos[k], sin[k]) == (one * mpmath.cospi(x), one * mpmath.sinpi(x))
+
+
+def _first_order_bound(moduli, s, u):
+    """The bound stated above characters._Form for one table entry, relative to it.
+
+    2u/|v| for every factor and every truncated product v, carried through the
+    products and squarings _table_fixed makes.
+    """
+    partial, rel = moduli[0], 2 * u / moduli[0]
+    for m in moduli[1:]:
+        partial *= m
+        rel += 2 * u / m + 2 * u / partial
+    table, table_rel = partial, rel
+    for bit in bin(s)[3:]:
+        table *= table
+        table_rel = 2 * table_rel + 2 * u / table
+        if bit == "1":
+            table *= partial
+            table_rel += rel + 2 * u / table
+    return table_rel
+
+
 @pytest.mark.parametrize("prec", [64, 128, 256])
-@pytest.mark.parametrize("factor", [_CHAR_FACTOR, _SIN], ids=["char", "sin"])
+@pytest.mark.parametrize("factor", [_CHAR_FACTOR, _TRIG_FACTOR], ids=["char", "sin"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=20)
 @given(st.integers(1, 5), st.integers(1, 9), st.integers(1, 40))
 @example(2, 3, 1)  # N = 1: empty table
@@ -383,29 +437,41 @@ def test_precision_failure_texts_are_pinned():
 @example(1, 2, 7)  # odd N, n = 2
 @example(2, 3, 12)  # even N, n = 3: a*r runs past 2N
 def test_mp_table_matches_direct_products(factor, prec, s, n, modulus):
-    table = _table_mp(factor.mp, s, n, modulus, prec)
-    with mpmath.workprec(prec):
-        direct = [
-            mpmath.fprod(factor.mp(a * r, modulus) for a in range(1, n + 1)) ** s
-            for r in range(1, modulus // 2 + 1)
-        ]
-    assert len(table) == len(direct)
-    assert all(t == d for t, d in zip(table, direct))
+    # the fixed-point table against mpmath products at 64 more bits (whose own
+    # error is the estimate's form at that precision): within the stated bound
+    bits = prec + _GUARD_BITS
+    # the fixed-point trig factor is 2 sin
+    mp_factor, scale = (mp_char_factor, 1) if factor is _CHAR_FACTOR else (mp_sin, 2)
+    re, im = _table_fixed(factor.fixed, s, n, modulus, bits)
+    assert len(re) == modulus // 2
+    with mpmath.workprec(bits + 64):
+        u = mpmath.mpf(2) ** -bits
+        direct = table_mp(mp_factor, s, n, modulus, bits + 64)
+        for r, d in enumerate(direct, 1):
+            got = mpmath.mpc(re[r - 1], 0 if im is None else im[r - 1]) * u
+            moduli = [scale * abs(mp_factor(a * r, modulus)) for a in range(1, n + 1)]
+            if min(moduli) == 0:
+                assert got == 0
+                continue
+            want = d * scale ** (s * n)
+            mp_error = abs(want) * 2 ** (1 - bits - 64) * (4 * s * n + 16)
+            bound = mpmath.expm1(_first_order_bound(moduli, s, u)) * abs(want)
+            assert abs(got - want) <= bound + mp_error
 
 
-def _estimate(factor, lead, spec, modulus, prec):
-    """The error estimate of _rounded_sum at one rung, from the same tables."""
+def _estimate(trig, lead, spec, modulus, prec):
+    """The error estimate of _rounded_sum at one rung, from the double or mpmath tables."""
     sn = spec.s * spec.n
     weights = [2] * (modulus // 2)
     if modulus % 2 == 0:
         weights[-1] = 1
     if prec == FAST_PRECISION_BITS:
-        table = _table_f64(factor.f64, spec.s, spec.n, modulus)
+        table = _table_f64((_SIN if trig else _CHAR_FACTOR).f64, spec.s, spec.n, modulus)
         with np.errstate(over="ignore", invalid="ignore"):
             scale = abs(lead) * float((np.array(weights) * np.abs(table)).sum()) / modulus
         return scale * 2.0 ** (1 - prec) * (4 * sn + 16)
     with mpmath.workprec(prec):
-        table = _table_mp(factor.mp, spec.s, spec.n, modulus, prec)
+        table = table_mp(mp_sin if trig else mp_char_factor, spec.s, spec.n, modulus, prec)
         scale = abs(lead) * sum(w * abs(t) for w, t in zip(weights, table)) / modulus
     with mpmath.workprec(prec + 16):
         return scale * 2.0 ** (1 - prec) * (4 * sn + 16)
@@ -423,7 +489,7 @@ def _estimate(factor, lead, spec, modulus, prec):
 def test_skipped_rungs_fail_the_estimate(spec, modulus, trig):
     # a skipped rung must fail err < 0.25, so skipping never moves the accepted rung
     sn = spec.s * spec.n
-    factor, lead = (_SIN, (-1) ** ((sn + 1) // 2) * 2**sn) if trig else (_CHAR_FACTOR, 1)
+    lead = (-1) ** ((sn + 1) // 2) * 2**sn if trig else 1
     full = MP_PRECISION_LADDER
     if sn <= _FAST_SN_LIMIT:
         full = (FAST_PRECISION_BITS, *full)
@@ -431,7 +497,7 @@ def test_skipped_rungs_fail_the_estimate(spec, modulus, trig):
     skipped = full[: len(full) - len(ladder)]
     assert skipped + ladder == full
     for prec in skipped:
-        assert not _estimate(factor, lead, spec, modulus, prec) < RESIDUAL_THRESHOLD
+        assert not _estimate(trig, lead, spec, modulus, prec) < RESIDUAL_THRESHOLD
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -445,13 +511,13 @@ def test_skipped_rungs_fail_the_estimate(spec, modulus, trig):
 def test_ladder_estimate_is_the_table_estimate(spec, modulus, trig):
     # the one estimate of _ladder equals the one the tables give at each rung
     sn = spec.s * spec.n
-    factor, lead = (_SIN, (-1) ** ((sn + 1) // 2) * 2**sn) if trig else (_CHAR_FACTOR, 1)
+    lead = (-1) ** ((sn + 1) // 2) * 2**sn if trig else 1
     rungs = [prec for prec in MP_PRECISION_LADDER if prec <= 256]
     if sn <= _FAST_SN_LIMIT:
         rungs.insert(0, FAST_PRECISION_BITS)
     log2_err = _ladder(spec, modulus)[1]
     for prec in rungs:
-        expected = mpmath.mpf(_estimate(factor, lead, spec, modulus, prec))
+        expected = mpmath.mpf(_estimate(trig, lead, spec, modulus, prec))
         if not mpmath.isfinite(expected):
             continue
         got = mpmath.mpf(2) ** (log2_err - prec)
@@ -459,6 +525,50 @@ def test_ladder_estimate_is_the_table_estimate(spec, modulus, trig):
             assert abs(got - expected) <= 1e-6
         else:
             assert abs(got - expected) <= 1e-9 * expected
+
+
+def _sum_arguments(route, spec, query):
+    """The (factor, phase, x, lead, spec, N) a route hands to _rounded_sum."""
+    seen = []
+    with patch.object(characters, "_rounded_sum", lambda *args: seen.append(args) or (0, 0)):
+        route(spec, query)
+    return seen[0]
+
+
+@st.composite
+def _audit_queries(draw):
+    spec = ProductSpec(draw(st.integers(1, 30)), draw(st.integers(1, 60)))
+    modulus = draw(st.integers(2, 300))
+    return spec, ProgressionQuery(modulus, draw(st.integers(0, modulus - 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_audit_queries())
+@example((ProductSpec(27, 29), ProgressionQuery(36, 18)))  # accepted at 512 bits
+@example((ProductSpec(30, 60), ProgressionQuery(300, 299)))  # the largest draw
+def test_every_rung_is_within_the_estimate(case):
+    # at every rung of the full ladder, both routes' unrounded sums are within
+    # 2^(log2_err - prec) of the exact sum, and each route accepts the first
+    # rung _ladder keeps, or raises when even that fails the estimate
+    spec, query = case
+    exact = progression_sum_oracle(spec, query)
+    ladder, log2_err = _ladder(spec, query.modulus)
+    full = MP_PRECISION_LADDER
+    if spec.s * spec.n <= _FAST_SN_LIMIT:
+        full = (FAST_PRECISION_BITS, *full)
+    for route in (character_sum_with_precision, trig_form_with_precision):
+        arguments = _sum_arguments(route, spec, query)
+        for prec in full:
+            num, den = _unrounded_sum(*arguments, prec)
+            if prec == FAST_PRECISION_BITS and not math.isfinite(num):
+                continue
+            error = abs(num - exact * den)
+            assert error == 0 or math.log2(error) - math.log2(den) <= log2_err - prec
+        if log2_err - ladder[0] < math.log2(RESIDUAL_THRESHOLD):
+            assert route(spec, query) == (exact, ladder[0])
+        else:
+            with pytest.raises(PrecisionError):
+                route(spec, query)
 
 
 @pytest.mark.parametrize("spec, modulus", [(ProductSpec(1, 733), 400), (ProductSpec(2, 371), 201)])

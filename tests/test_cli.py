@@ -307,3 +307,22 @@ def test_scipy_loads_only_for_k(argv, loads_scipy):
         check=True,
     )
     assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+
+
+@pytest.mark.parametrize("method", ["character", "trig"])
+def test_routes_load_no_mpmath(method):
+    # A fresh interpreter: the fixed-point rungs (here 512 bits) need no mpmath.
+    argv = ["progsum", "--s", "27", "--n", "29", "--N", "36", "--j", "18", "--method", method]
+    script = (
+        "import sys\nfrom qproduct.cli import main\n"
+        f"code = main({argv!r})\n"
+        'print(code, "mpmath" in sys.modules)\n'
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    report, last = proc.stdout.rsplit("\n", 2)[:2]
+    assert json.loads(report)["precision_bits"] == 512
+    assert last == "0 False"

@@ -188,21 +188,6 @@ def test_spec_and_query_reject_non_int(make):
         make()
 
 
-def test_csv_rejects_negative_and_repeated_exponents():
-    with pytest.raises(ValueError, match="negative exponent"):
-        IntPolynomial.from_csv("0,1\n-1,5\n")
-    with pytest.raises(ValueError, match="twice"):
-        IntPolynomial.from_csv("exponent,coefficient\n0,1\n1,2\n1,3\n")
-
-
-def test_csv_size_follows_the_coefficient_cap(monkeypatch):
-    # the dense vector is sized by the largest exponent: checked before allocating
-    monkeypatch.setenv("QPRODUCT_COEFF_CAP", "8")
-    assert IntPolynomial.from_csv("7,1\n").coeffs == [0] * 7 + [1]
-    with pytest.raises(ResourceLimitError, match="cap is 8"):
-        IntPolynomial.from_csv("exponent,coefficient\n0,1\n8,1\n")
-
-
 def test_cyclic_reduce_follows_the_coefficient_cap(monkeypatch):
     # the reduced list holds N entries whatever the degree: checked before allocating
     monkeypatch.setenv("QPRODUCT_COEFF_CAP", "100")
@@ -239,7 +224,6 @@ def test_csv_roundtrip():
     assert lines[0] == "exponent,coefficient"
     assert lines[1] == "0,1"
     assert len(lines) == len(p.coeffs) + 1
-    assert IntPolynomial.from_csv(text) == p
 
 
 # ---------------------------------------------------------------------------
