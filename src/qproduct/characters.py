@@ -140,18 +140,20 @@ def ramanujan_sum(modulus: int, j: int) -> int:
 # double precision and per (s, n, N, P) in fixed point.
 #
 # A fixed-point rung at prec bits holds each value v as an integer near 2^P * v,
-# P = prec + 32, read from one table of the roots e^(i*pi*k/N) per (N, P).  A
-# product is (x*y) >> P, the sum over r is exact, and only the rounding divides.
-# The trig factor is 2 sin there, so each table entry is lead * table_r up to
-# sign, as for 1 - psi_r(a).  Error bound, with u = 2^-P: each factor and phase
-# is within 2u, each product truncates by under 2u, and zero factors are exact.
-# To first order, term r then has relative error at most the sum of 2u/|v| over
-# the factors, phase, partial products and powers v it is built from, each
-# counted as often as the power s uses it.  A nonzero factor has |f_a| >=
-# 2 sin(pi/N) >= 4/N, so the factors add at most u*s*n*N/2: against the
-# estimate's scale sum_r w_r |lead * table_r| / N, below 2^-35 * N times the
-# estimate.  Partial products and powers have no a-priori lower bound, so the
-# bound is checked on randomized inputs, not proven.
+# P = prec + guard from _ladder, read from one table of the roots e^(i*pi*k/N)
+# per (N, P).  A product is (x*y) >> P, the sum over r is exact, and only the
+# rounding divides.  The trig factor is 2 sin there, so each table entry is
+# lead * table_r up to sign, as for 1 - psi_r(a).  Error bound, with u = 2^-P:
+# each factor and phase is within 2u, each product truncates by under 2u, and
+# zero factors are exact.  To first order, term r then has relative error at
+# most the sum of 2u/|v| over the factors, phase, partial products and powers v
+# it is built from, each counted as often as the power s uses it.  A nonzero
+# factor has |f_a| >= 2 sin(pi/N) >= 4/N, so the factors add at most
+# u*s*n*N/2, and the products at most 4u*s*n / min(1, |v|) over the least v,
+# which for n near N/2 is about 2^(-0.23 N).  The guard, 32 bits plus log2 of
+# sum_r w_r |lead * table_r| / min(1, |v|) over the estimate's scale
+# sum_r w_r |lead * table_r|, keeps the error below (2^-33 + 2^-36 N) times
+# the estimate.
 
 
 class _Form(NamedTuple):
@@ -196,9 +198,8 @@ def _roots(modulus: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
 
     pi (Machin's formula) and z = e^(i*pi/N) (its Taylor series) carry 16 bits
     more than q = bits + bitlen(2N) + 8.  Doubling chains of products at q bits
-    give z^k for k <= N/2 within 4k units of 2^-q; the rest follow exactly from
-    cos(pi - x) = -cos x, sin(pi - x) = sin x and z^(k+N) = -z^k.  Values that
-    are 0 or +-1 are exact, so a factor that vanishes is exactly zero.
+    give z^k for k < N within 4k units of 2^-q, and z^(k+N) = -z^k.  Values
+    that are 0 or +-1 are exact, so a factor that vanishes is exactly zero.
     """
     q = bits + (2 * modulus).bit_length() + 8
     pi = 4 * (4 * _arctan_inv(5, q + 16) - _arctan_inv(239, q + 16))
@@ -207,16 +208,13 @@ def _roots(modulus: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
         terms.append(terms[-1] * pi // (len(terms) * modulus << (q + 16)))
     zr, zi = (sum(terms[i::4]) - sum(terms[i + 2 :: 4]) >> 16 for i in (0, 1))
     re, im = np.array([1 << q], dtype=object), np.array([0], dtype=object)
-    m = modulus // 2 + 1  # z^k for k <= N/2; the rest by symmetry
-    while len(re) < m:  # append z^len times the powers so far; square z^len
+    while len(re) < modulus:  # append z^len times the powers so far; square z^len
         re, im = np.append(re, (re * zr - im * zi) >> q), np.append(im, (re * zi + im * zr) >> q)
         zr, zi = (zr * zr - zi * zi) >> q, (2 * zr * zi) >> q
-    cos, sin = ((v[:m] + (1 << (q - bits - 1))) >> (q - bits) for v in (re, im))
+    cos, sin = ((v[:modulus] + (1 << (q - bits - 1))) >> (q - bits) for v in (re, im))
     cos[0], sin[0] = 1 << bits, 0
     if modulus % 2 == 0:
-        cos[m - 1], sin[m - 1] = 0, 1 << bits
-    mirror = slice(modulus - m, 0, -1)  # N - k for k in (N/2, N)
-    cos, sin = np.append(cos, -cos[mirror]), np.append(sin, sin[mirror])
+        cos[modulus // 2], sin[modulus // 2] = 0, 1 << bits
     return np.append(cos, -cos), np.append(sin, -sin)
 
 
@@ -244,27 +242,34 @@ def _table_fixed(factor, s: int, n: int, modulus: int, bits: int) -> tuple:
 
 
 @lru_cache(maxsize=16384)
-def _ladder(spec: ProductSpec, modulus: int) -> tuple[tuple, float]:
-    """The rungs of _rounded_sum and log2_err: its estimate is 2^(log2_err - prec).
+def _ladder(spec: ProductSpec, modulus: int) -> tuple[tuple, float, int]:
+    """The rungs of _rounded_sum, log2_err and the guard bits stated above _Form.
 
-    The error estimate scale * 2^(1-prec) * (4sn+16), scale = |lead|/N *
-    sum_r w_r |table_r|, is computed only here: log2|lead * table_r| is
-    s * sum_a log2|2 sin(pi*a*r/N)| in both routes, which cannot overflow or
-    underflow, and which agrees with every table at every rung because each
-    factor with a*r = 0 (mod N) is exactly zero in all of them.  Rungs start
+    The error estimate 2^(log2_err - prec) = scale * 2^(1-prec) * (4sn+16),
+    scale = |lead|/N * sum_r w_r |table_r|, is computed only here:
+    log2|lead * table_r| is s * sum_a log2|2 sin(pi*a*r/N)| in both routes,
+    which cannot overflow or underflow, and which agrees with every table at
+    every rung because each factor with a*r = 0 (mod N) is exactly zero in all
+    of them.  Rungs start
     at the first whose estimate is below 0.25, or at the last.
     """
     s, n, sn = spec.s, spec.n, spec.s * spec.n
     ladder = (FAST_PRECISION_BITS,) * (sn <= _FAST_SN_LIMIT) + MP_PRECISION_LADDER
-    blocks = _column_blocks(n, modulus)
+    finals, lows = [], []  # log2 |prod_{a <= n}| and log2 of its least prefix product
     with np.errstate(divide="ignore"):
-        logs = s * np.concatenate(
-            [np.log2(abs(2 * _SIN.f64(k, modulus))).sum(axis=0) for k in blocks]
-        )
+        for k in _column_blocks(n, modulus):
+            prefix = np.log2(abs(2 * _SIN.f64(k, modulus))).cumsum(axis=0)
+            finals.append(prefix[-1])
+            lows.append(prefix.min(axis=0))
+    logs = s * np.concatenate(finals)
+    finite = logs > -np.inf  # the other terms are exactly zero
+    dips = np.minimum(np.minimum(np.concatenate(lows), logs), 0)[finite]
     logs[-1] -= modulus % 2 == 0  # so that logs + 1 adds log2 w_r, 0 for r = N/2
-    log2_err = np.logaddexp2.reduce(logs + 1) - math.log2(modulus) + 1 + math.log2(4 * sn + 16)
+    log2_scale = np.logaddexp2.reduce(logs + 1)
+    log2_err = log2_scale - math.log2(modulus) + 1 + math.log2(4 * sn + 16)
+    extra = np.logaddexp2.reduce(logs[finite] + 1 - dips) - log2_scale if finite.any() else 0
     skip = sum(log2_err - prec >= _LOG2_THRESHOLD for prec in ladder[:-1])
-    return ladder[skip:], float(log2_err)
+    return ladder[skip:], float(log2_err), _GUARD_BITS + math.ceil(extra)
 
 
 def _unrounded_sum(
@@ -279,7 +284,7 @@ def _unrounded_sum(
             w[-1] = 1.0
         with np.errstate(over="ignore", invalid="ignore"):
             return lead * float((w * (phases * table).real).sum()) / modulus, 1
-    bits = prec + _GUARD_BITS
+    bits = prec + _ladder(spec, modulus)[2]
     tr, ti = _table_fixed(factor.fixed, spec.s, spec.n, modulus, bits)
     pr, pi = phase.fixed(x * np.arange(1, modulus // 2 + 1), modulus, *_roots(modulus, bits))
     terms = pr * tr if pi is None else pr * tr - pi * ti
@@ -302,7 +307,7 @@ def _rounded_sum(
     _require_under_cap("character table", spec.n * (modulus // 2), "entries")
     if modulus == 1:
         return 0, 0  # no nontrivial characters; the sum is empty
-    ladder, log2_err = _ladder(spec, modulus)
+    ladder, log2_err, _ = _ladder(spec, modulus)
     if log2_err - ladder[-1] >= _LOG2_THRESHOLD:
         raise PrecisionError(
             f"certified rounding failed at 1024 bits (error estimate 2^{log2_err - 1024:.1f})"

@@ -537,22 +537,30 @@ def _sum_arguments(route, spec, query):
 
 @st.composite
 def _audit_queries(draw):
-    spec = ProductSpec(draw(st.integers(1, 30)), draw(st.integers(1, 60)))
+    # n up to 60 or N/2 + 2, where prefix products dip far below the final one
     modulus = draw(st.integers(2, 300))
+    spec = ProductSpec(draw(st.integers(1, 30)), draw(st.integers(1, max(60, modulus // 2 + 2))))
     return spec, ProgressionQuery(modulus, draw(st.integers(0, modulus - 1)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(_audit_queries())
 @example((ProductSpec(27, 29), ProgressionQuery(36, 18)))  # accepted at 512 bits
-@example((ProductSpec(30, 60), ProgressionQuery(300, 299)))  # the largest draw
+@example((ProductSpec(30, 60), ProgressionQuery(300, 299)))
+# n near N/2: for r = 1 the prefix products dip about 2^(0.23 N) below the
+# final product; with a fixed 32 guard bits the first sum stayed within the
+# estimate by only 2^3.4 and the other three exceeded it by 2^10 to 2^21
+@example((ProductSpec(10, 100), ProgressionQuery(200, 7)))
+@example((ProductSpec(7, 150), ProgressionQuery(300, 1)))
+@example((ProductSpec(1, 142), ProgressionQuery(285, 3)))
+@example((ProductSpec(30, 125), ProgressionQuery(250, 100)))
 def test_every_rung_is_within_the_estimate(case):
     # at every rung of the full ladder, both routes' unrounded sums are within
     # 2^(log2_err - prec) of the exact sum, and each route accepts the first
     # rung _ladder keeps, or raises when even that fails the estimate
     spec, query = case
     exact = progression_sum_oracle(spec, query)
-    ladder, log2_err = _ladder(spec, query.modulus)
+    ladder, log2_err, _ = _ladder(spec, query.modulus)
     full = MP_PRECISION_LADDER
     if spec.s * spec.n <= _FAST_SN_LIMIT:
         full = (FAST_PRECISION_BITS, *full)
@@ -569,6 +577,18 @@ def test_every_rung_is_within_the_estimate(case):
         else:
             with pytest.raises(PrecisionError):
                 route(spec, query)
+
+
+@pytest.mark.parametrize("s, n, modulus", [(7, 150, 300), (10, 100, 200)])
+def test_routes_match_oracle_rows_at_half_modulus(s, n, modulus):
+    # n = N/2 at the first rung: with 32 fixed guard bits the trig route got 68
+    # of the 300 residues of (7, 150, 300) wrong at 64 bits
+    spec, row = ProductSpec(s, n), oracle_row(ProductSpec(s, n), modulus)
+    first = _ladder(spec, modulus)[0][0]
+    for j in range(modulus):
+        query = ProgressionQuery(modulus, j)
+        assert character_sum_with_precision(spec, query) == (row[j], first)
+        assert trig_form_with_precision(spec, query) == (row[j], first)
 
 
 @pytest.mark.parametrize("spec, modulus", [(ProductSpec(1, 733), 400), (ProductSpec(2, 371), 201)])
